@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 
 #include <unistd.h>
 
@@ -32,11 +33,15 @@ panicImpl(const char *file, int line, const std::string &msg)
     std::abort();
 }
 
+// _Exit, not exit: static destructors would make par::Pool's global
+// instance join its own thread, or threads a forked child lacks.
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::exit(1);
+    std::fflush(stdout);
+    std::fflush(stderr);
+    std::_Exit(1);
 }
 
 namespace {

@@ -4,9 +4,9 @@
  *
  * Follows the gem5 convention: panic() signals an internal invariant
  * violation (a bug in this library) and aborts; fatal() signals a user
- * error (bad configuration, invalid arguments) and exits cleanly with a
- * non-zero status; warn() and inform() report conditions that do not stop
- * the simulation.
+ * error (bad configuration, invalid arguments) and exits with status 1
+ * from any thread (stdio flushed, no static destructors run); warn() and
+ * inform() report conditions that do not stop the simulation.
  *
  * Async-signal-safety: every helper above formats through
  * std::ostringstream and emits via stdio — both allocate and lock, so

@@ -1,8 +1,27 @@
 #include "common/rng.hh"
 
+#include <cinttypes>
+#include <cstdio>
+
 #include "common/logging.hh"
 
 namespace dfault {
+
+void
+hashDouble(std::uint64_t &hash, double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g,", v);
+    hash = fnv1a64(buf, hash);
+}
+
+void
+hashU64(std::uint64_t &hash, std::uint64_t v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%" PRIu64 ",", v);
+    hash = fnv1a64(buf, hash);
+}
 
 namespace {
 

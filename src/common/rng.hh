@@ -56,6 +56,11 @@ fnv1a64(std::string_view bytes, std::uint64_t basis = kFnvOffset64)
     return basis;
 }
 
+/** Fold @p v into an FNV-1a config digest as round-trip "%.17g," text. */
+void hashDouble(std::uint64_t &hash, double v);
+/** Fold @p v into an FNV-1a config digest as decimal text plus ",". */
+void hashU64(std::uint64_t &hash, std::uint64_t v);
+
 /**
  * xoshiro256** pseudo-random generator with distribution helpers.
  *

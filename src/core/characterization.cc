@@ -287,12 +287,12 @@ CharacterizationCampaign::sweep(
             profile_opts);
     }
 
-    CheckpointJournal journal;
+    obs::RecordStore checkpoint;
     std::map<std::size_t, CheckpointCell> restored;
     if (!params_.checkpointDir.empty()) {
-        journal.open(params_.checkpointDir,
-                     sweepConfigDigest(params_, suite, points));
-        restored = journal.load(total);
+        checkpoint.open(params_.checkpointDir,
+                        sweepConfigDigest(params_, suite, points));
+        restored = loadCheckpointCells(checkpoint, total);
         if (!restored.empty())
             obs::progress("checkpoint: restoring " +
                           std::to_string(restored.size()) + "/" +
@@ -326,8 +326,14 @@ CharacterizationCampaign::sweep(
             Measurement m = measureOn(slotPlatform(), config, op, 0,
                                       nullptr, attempt);
             std::vector<obs::StatOp> ops = deferral.take();
-            if (journal.enabled()) {
-                journal.store({i, m, ops});
+            if (checkpoint.enabled()) {
+                if (!checkpoint.write(
+                        kCheckpointCell, i,
+                        checkpointCellJson({i, m, ops},
+                                           checkpoint.digest()) +
+                            "\n"))
+                    DFAULT_WARN("checkpoint: failed to record cell ", i,
+                                "; it will be re-measured on resume");
                 // Chaos testing: a kill between journal writes.
                 fi::Injector::instance().maybeKill("sweep.kill", i);
             }
@@ -374,7 +380,7 @@ CharacterizationCampaign::sweep(
                       token.cancelled() ? token.reason()
                                         : std::string("task token"),
                       ")",
-                      journal.enabled()
+                      checkpoint.enabled()
                           ? "; rerun with the same checkpoint dir to"
                             " finish them"
                           : "");

@@ -1,36 +1,11 @@
 #include "core/checkpoint.hh"
 
-#include <cinttypes>
-#include <cstdio>
-#include <filesystem>
-
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "fi/durable.hh"
-#include "fi/injector.hh"
-#include "obs/json.hh"
 
 namespace dfault::core {
 
 namespace {
-
-constexpr int kCheckpointVersion = 1;
-
-void
-hashDouble(std::uint64_t &hash, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g,", v);
-    hash = fnv1a64(buf, hash);
-}
-
-void
-hashU64(std::uint64_t &hash, std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64 ",", v);
-    hash = fnv1a64(buf, hash);
-}
 
 void
 hashString(std::uint64_t &hash, const std::string &s)
@@ -39,48 +14,64 @@ hashString(std::uint64_t &hash, const std::string &s)
     hash = fnv1a64(";", hash);
 }
 
-std::string
-digestHex(std::uint64_t digest)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, digest);
-    return buf;
-}
-
-std::string
-numberArrayJson(const std::vector<double> &values)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i > 0)
-            out += ',';
-        out += obs::jsonNumber(values[i]);
-    }
-    out += ']';
-    return out;
-}
-
+/** The cell payload after the store header. */
 bool
-numberArrayFromJson(const obs::JsonValue *v, std::vector<double> &out)
+cellFromDoc(const obs::JsonValue &doc, CheckpointCell &out,
+            std::string *error)
 {
-    if (v == nullptr || !v->isArray())
-        return false;
-    out.clear();
-    out.reserve(v->array.size());
-    for (const obs::JsonValue &item : v->array) {
-        if (item.kind != obs::JsonValue::Kind::Number)
-            return false;
-        out.push_back(item.number);
-    }
-    return true;
-}
+    CheckpointCell parsed;
+    std::uint64_t cell = 0;
+    obs::u64Field(doc, kCheckpointCell.indexKey, cell);
+    parsed.cell = static_cast<std::size_t>(cell);
+    Measurement &m = parsed.measurement;
+    const obs::JsonValue *label = doc.find("label");
+    if (label == nullptr || label->kind != obs::JsonValue::Kind::String ||
+        !obs::intFieldIn(doc, "threads", 0, 1 << 20, m.threads))
+        return obs::recordError(error, "missing label/threads");
+    m.label = label->string;
 
-const obs::JsonValue *
-requireNumber(const obs::JsonValue &doc, const char *key)
-{
-    const obs::JsonValue *v = doc.find(key);
-    return v != nullptr && v->kind == obs::JsonValue::Kind::Number ? v
-                                                                   : nullptr;
+    const auto numbers = [](const obs::JsonValue *v,
+                            std::vector<double> &out) {
+        return obs::arrayFromJson(v, obs::numberFromJson, out);
+    };
+    std::vector<double> op;
+    if (!numbers(doc.find("requested"), op) || op.size() != 3)
+        return obs::recordError(error, "bad requested operating point");
+    m.requested = {op[0], op[1], op[2]};
+    if (!numbers(doc.find("achieved"), op) || op.size() != 3)
+        return obs::recordError(error, "bad achieved operating point");
+    m.achieved = {op[0], op[1], op[2]};
+
+    const obs::JsonValue *run = doc.find("run");
+    if (run == nullptr || !run->isObject())
+        return obs::recordError(error, "missing run object");
+    if (!numbers(run->find("wer_series"), m.run.werSeries) ||
+        !numbers(run->find("ce_per_device"), m.run.cePerDevice) ||
+        !numbers(run->find("words_per_device"), m.run.wordsPerDevice))
+        return obs::recordError(error, "bad run series arrays");
+    const obs::JsonValue *crashed = run->find("crashed");
+    const obs::JsonValue *sdc = obs::requireNumber(*run, "expected_sdc");
+    const obs::JsonValue *words =
+        obs::requireNumber(*run, "allocated_words");
+    if (crashed == nullptr || crashed->kind != obs::JsonValue::Kind::Bool ||
+        !obs::intFieldIn(*run, "crash_epoch", -1, 1 << 30,
+                         m.run.crashEpoch) ||
+        !obs::intFieldIn(*run, "crash_device", -1, 1 << 30,
+                         m.run.crashDevice) ||
+        sdc == nullptr || words == nullptr)
+        return obs::recordError(error, "bad run scalar fields");
+    m.run.crashed = crashed->boolean;
+    m.run.expectedSdc = sdc->number;
+    m.run.allocatedWords = words->number;
+
+    const obs::JsonValue *ops = doc.find("stat_ops");
+    std::string ops_error;
+    if (ops == nullptr ||
+        !obs::statOpsFromJson(*ops, parsed.statOps, &ops_error))
+        return obs::recordError(error, "bad stat_ops: " + ops_error);
+
+    out = std::move(parsed);
+    return true;
 }
 
 } // namespace
@@ -137,23 +128,21 @@ std::string
 checkpointCellJson(const CheckpointCell &cell, std::uint64_t digest)
 {
     const Measurement &m = cell.measurement;
-    obs::JsonWriter w;
-    w.field("checkpoint_version", kCheckpointVersion);
-    w.field("config_digest", digestHex(digest));
-    w.field("cell", static_cast<std::uint64_t>(cell.cell));
+    obs::JsonWriter w = obs::recordHeader(kCheckpointCell, cell.cell, digest);
     w.field("label", m.label);
     w.field("threads", m.threads);
-    w.fieldRaw("requested", numberArrayJson({m.requested.trefp,
-                                             m.requested.vdd,
-                                             m.requested.temperature}));
-    w.fieldRaw("achieved", numberArrayJson({m.achieved.trefp,
-                                            m.achieved.vdd,
-                                            m.achieved.temperature}));
+    const auto numbers = [](const std::vector<double> &values) {
+        return obs::arrayJson(values, obs::jsonNumber);
+    };
+    w.fieldRaw("requested", numbers({m.requested.trefp, m.requested.vdd,
+                                     m.requested.temperature}));
+    w.fieldRaw("achieved", numbers({m.achieved.trefp, m.achieved.vdd,
+                                    m.achieved.temperature}));
 
     obs::JsonWriter run;
-    run.fieldRaw("wer_series", numberArrayJson(m.run.werSeries));
-    run.fieldRaw("ce_per_device", numberArrayJson(m.run.cePerDevice));
-    run.fieldRaw("words_per_device", numberArrayJson(m.run.wordsPerDevice));
+    run.fieldRaw("wer_series", numbers(m.run.werSeries));
+    run.fieldRaw("ce_per_device", numbers(m.run.cePerDevice));
+    run.fieldRaw("words_per_device", numbers(m.run.wordsPerDevice));
     run.field("crashed", m.run.crashed);
     run.field("crash_epoch", m.run.crashEpoch);
     run.field("crash_device", m.run.crashDevice);
@@ -169,164 +158,28 @@ bool
 checkpointCellFromJson(const std::string &text, std::uint64_t digest,
                        CheckpointCell &out, std::string *error)
 {
-    const auto fail = [error](const std::string &msg) {
-        if (error != nullptr)
-            *error = msg;
-        return false;
-    };
-
-    std::string parse_error;
-    const auto doc = obs::jsonParse(text, &parse_error);
-    if (!doc)
-        return fail("bad JSON: " + parse_error);
-    if (!doc->isObject())
-        return fail("not a JSON object");
-
-    const obs::JsonValue *version = requireNumber(*doc, "checkpoint_version");
-    if (version == nullptr ||
-        static_cast<int>(version->number) != kCheckpointVersion)
-        return fail("missing or unsupported checkpoint_version");
-
-    const obs::JsonValue *cell_digest = doc->find("config_digest");
-    if (cell_digest == nullptr ||
-        cell_digest->kind != obs::JsonValue::Kind::String)
-        return fail("missing config_digest");
-    if (cell_digest->string != digestHex(digest))
-        return fail("config digest mismatch (cell written by a different "
-                    "campaign configuration): have " +
-                    cell_digest->string + ", want " + digestHex(digest));
-
-    const obs::JsonValue *cell_index = requireNumber(*doc, "cell");
-    const obs::JsonValue *label = doc->find("label");
-    const obs::JsonValue *threads = requireNumber(*doc, "threads");
-    if (cell_index == nullptr || cell_index->number < 0 ||
-        label == nullptr || label->kind != obs::JsonValue::Kind::String ||
-        threads == nullptr)
-        return fail("missing cell/label/threads");
-
-    CheckpointCell parsed;
-    parsed.cell = static_cast<std::size_t>(cell_index->number);
-    Measurement &m = parsed.measurement;
-    m.label = label->string;
-    m.threads = static_cast<int>(threads->number);
-
-    std::vector<double> op;
-    if (!numberArrayFromJson(doc->find("requested"), op) || op.size() != 3)
-        return fail("bad requested operating point");
-    m.requested = {op[0], op[1], op[2]};
-    if (!numberArrayFromJson(doc->find("achieved"), op) || op.size() != 3)
-        return fail("bad achieved operating point");
-    m.achieved = {op[0], op[1], op[2]};
-
-    const obs::JsonValue *run = doc->find("run");
-    if (run == nullptr || !run->isObject())
-        return fail("missing run object");
-    if (!numberArrayFromJson(run->find("wer_series"), m.run.werSeries) ||
-        !numberArrayFromJson(run->find("ce_per_device"),
-                             m.run.cePerDevice) ||
-        !numberArrayFromJson(run->find("words_per_device"),
-                             m.run.wordsPerDevice))
-        return fail("bad run series arrays");
-    const obs::JsonValue *crashed = run->find("crashed");
-    const obs::JsonValue *crash_epoch = requireNumber(*run, "crash_epoch");
-    const obs::JsonValue *crash_device = requireNumber(*run, "crash_device");
-    const obs::JsonValue *sdc = requireNumber(*run, "expected_sdc");
-    const obs::JsonValue *words = requireNumber(*run, "allocated_words");
-    if (crashed == nullptr || crashed->kind != obs::JsonValue::Kind::Bool ||
-        crash_epoch == nullptr || crash_device == nullptr ||
-        sdc == nullptr || words == nullptr)
-        return fail("bad run scalar fields");
-    m.run.crashed = crashed->boolean;
-    m.run.crashEpoch = static_cast<int>(crash_epoch->number);
-    m.run.crashDevice = static_cast<int>(crash_device->number);
-    m.run.expectedSdc = sdc->number;
-    m.run.allocatedWords = words->number;
-
-    const obs::JsonValue *ops = doc->find("stat_ops");
-    std::string ops_error;
-    if (ops == nullptr ||
-        !obs::statOpsFromJson(*ops, parsed.statOps, &ops_error))
-        return fail("bad stat_ops: " + ops_error);
-
-    out = std::move(parsed);
-    return true;
-}
-
-void
-CheckpointJournal::open(const std::string &dir, std::uint64_t digest)
-{
-    DFAULT_ASSERT(!dir.empty(), "checkpoint journal needs a directory");
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        DFAULT_FATAL("cannot create checkpoint directory '", dir,
-                     "': ", ec.message());
-    dir_ = dir;
-    digest_ = digest;
+    const auto doc = obs::parseRecord(text, kCheckpointCell, digest, error);
+    return doc && cellFromDoc(*doc, out, error);
 }
 
 std::map<std::size_t, CheckpointCell>
-CheckpointJournal::load(std::size_t totalCells) const
+loadCheckpointCells(const obs::RecordStore &store, std::size_t totalCells)
 {
     std::map<std::size_t, CheckpointCell> cells;
-    if (!enabled())
-        return cells;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir_, ec);
-    if (ec) {
-        DFAULT_WARN("cannot list checkpoint directory '", dir_,
-                    "': ", ec.message());
-        return cells;
-    }
-    for (const auto &entry : it) {
-        if (!entry.is_regular_file())
-            continue;
-        const std::string name = entry.path().filename().string();
-        if (!name.starts_with("cell-") || !name.ends_with(".json"))
-            continue;
-        const std::string path = entry.path().string();
-        std::string error;
-        const auto body = fi::readFile(path, &error);
-        if (!body) {
-            DFAULT_WARN("checkpoint: skipping ", path, ": ", error);
-            continue;
-        }
+    for (const std::uint64_t n : store.list(kCheckpointCell)) {
         CheckpointCell cell;
-        if (!checkpointCellFromJson(*body, digest_, cell, &error)) {
-            DFAULT_WARN("checkpoint: skipping ", path, ": ", error);
+        if (!store.load(kCheckpointCell, n, cell, cellFromDoc))
+            continue;
+        if (n >= totalCells) {
+            DFAULT_WARN("checkpoint: skipping ",
+                        store.path(kCheckpointCell, n), ": cell ", n,
+                        " out of range (sweep has ", totalCells,
+                        " cells)");
             continue;
         }
-        if (cell.cell >= totalCells) {
-            DFAULT_WARN("checkpoint: skipping ", path, ": cell ",
-                        cell.cell, " out of range (sweep has ",
-                        totalCells, " cells)");
-            continue;
-        }
-        cells[cell.cell] = std::move(cell);
+        cells[n] = std::move(cell);
     }
     return cells;
-}
-
-bool
-CheckpointJournal::store(const CheckpointCell &cell) const
-{
-    DFAULT_ASSERT(enabled(), "store() on a disabled checkpoint journal");
-    const std::string path = cellPath(cell.cell);
-    if (!fi::atomicWriteFile(path,
-                             checkpointCellJson(cell, digest_) + "\n")) {
-        DFAULT_WARN("checkpoint: failed to journal cell ", cell.cell,
-                    " to ", path, "; it will be re-measured on resume");
-        return false;
-    }
-    return true;
-}
-
-std::string
-CheckpointJournal::cellPath(std::size_t cell) const
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "cell-%06zu.json", cell);
-    return dir_ + "/" + name;
 }
 
 } // namespace dfault::core

@@ -1,21 +1,20 @@
 /**
  * @file
- * Sweep checkpoint journal.
+ * Sweep checkpoint: the cell record schema.
  *
- * A characterization sweep with a checkpoint directory journals every
- * completed (workload, operating point) cell as one small JSON file,
- * written atomically (fi::atomicWriteFile), so a campaign killed at
- * any instant leaves only complete cells behind. On resume the journal
- * is loaded, valid cells are skipped, and their *deferred stat ops*
- * (obs/deferral.hh) are replayed in cell order — the resumed run
- * reaches a stats digest bit-identical to an uninterrupted one.
+ * A characterization sweep with a checkpoint directory records every
+ * completed (workload, operating point) cell as one obs::RecordStore
+ * record (`cell-NNNNNN.json`), so a campaign killed at any instant
+ * leaves only complete cells behind. On resume the valid cells are
+ * skipped and their *deferred stat ops* (obs/deferral.hh) replayed in
+ * cell order — the resumed run reaches a stats digest bit-identical
+ * to an uninterrupted one.
  *
- * Every cell file carries the sweep's config digest: a hash of all
- * campaign parameters that define the results (workload params,
- * integrator params, thermal flag, suite, operating points). A cell
- * journaled by a different configuration — or a truncated, garbage or
- * wrong-version file — is warned about and re-measured, never trusted.
- * The digest deliberately excludes the thread count: a sweep may be
+ * Cells are independent, so the loader's policy is per cell: an
+ * invalid one is quarantined by the store and re-measured; the rest
+ * still restore. The config digest (sweepConfigDigest()) covers every
+ * campaign parameter that defines the results and deliberately
+ * excludes the thread count and resilience knobs: a sweep may be
  * resumed with a different DFAULT_THREADS and still verify.
  */
 
@@ -29,6 +28,7 @@
 
 #include "core/characterization.hh"
 #include "obs/deferral.hh"
+#include "obs/record_store.hh"
 
 namespace dfault::core {
 
@@ -46,51 +46,29 @@ struct CheckpointCell
     std::vector<obs::StatOp> statOps;
 };
 
-/** Serialize a cell (with the sweep digest) to one JSON document. */
+/** Cell records: `cell-NNNNNN.json`, N the cell index. */
+inline constexpr obs::RecordKind kCheckpointCell{"cell", 6, "cell",
+                                                 "cell"};
+
+/** Serialize a cell (stamped with the sweep digest) as one record. */
 std::string checkpointCellJson(const CheckpointCell &cell,
                                std::uint64_t digest);
 
 /**
  * Parse a checkpointCellJson() document. Returns false and sets
- * @p error when the document is malformed, has the wrong version, or
- * carries a digest other than @p digest.
+ * @p error when the document is malformed, has the wrong version or
+ * kind, or carries a digest other than @p digest.
  */
 bool checkpointCellFromJson(const std::string &text, std::uint64_t digest,
                             CheckpointCell &out, std::string *error);
 
-/** See file comment. */
-class CheckpointJournal
-{
-  public:
-    /**
-     * Bind to @p dir (created, parents included, when missing) for a
-     * sweep whose config hashes to @p digest. Fatal when the
-     * directory cannot be created: a checkpointed campaign that
-     * cannot checkpoint is a user-visible configuration error.
-     */
-    void open(const std::string &dir, std::uint64_t digest);
-
-    bool enabled() const { return !dir_.empty(); }
-
-    /**
-     * Load every valid cell with index < @p totalCells. Corrupt,
-     * mismatched and out-of-range files are warned about and skipped.
-     */
-    std::map<std::size_t, CheckpointCell> load(std::size_t totalCells) const;
-
-    /**
-     * Durably journal one completed cell. Returns false (after a
-     * warning) when the write fails; the sweep carries on — a lost
-     * journal entry only costs re-measurement on resume.
-     */
-    bool store(const CheckpointCell &cell) const;
-
-  private:
-    std::string cellPath(std::size_t cell) const;
-
-    std::string dir_;
-    std::uint64_t digest_ = 0;
-};
+/**
+ * Every valid cell in @p store with index < @p totalCells (none when
+ * the store is not open). Invalid cells are quarantined, to be
+ * re-measured; valid out-of-range ones are warned about and skipped.
+ */
+std::map<std::size_t, CheckpointCell>
+loadCheckpointCells(const obs::RecordStore &store, std::size_t totalCells);
 
 } // namespace dfault::core
 

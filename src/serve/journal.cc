@@ -1,49 +1,23 @@
 #include "serve/journal.hh"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <filesystem>
 #include <limits>
-#include <map>
-#include <optional>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "fi/durable.hh"
 #include "fi/injector.hh"
-#include "obs/json.hh"
 #include "obs/stats.hh"
 
 namespace dfault::serve {
 
 namespace {
 
-constexpr int kJournalVersion = 1;
+using obs::arrayFromJson;
+using obs::arrayJson;
+using obs::intFieldIn;
+using obs::u64Field;
 
-void
-hashDouble(std::uint64_t &hash, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g,", v);
-    hash = fnv1a64(buf, hash);
-}
-
-void
-hashU64(std::uint64_t &hash, std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64 ",", v);
-    hash = fnv1a64(buf, hash);
-}
-
-std::string
-digestHex(std::uint64_t digest)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, digest);
-    return buf;
-}
+constexpr obs::RecordKind kSegment{"seg", 8, "segment", "tick"};
+constexpr obs::RecordKind kSnapshot{"snap", 8, "snapshot", "tick"};
 
 /**
  * The serve.* counters a record replays, with the same descriptions
@@ -92,48 +66,8 @@ requestJson(const JournalRequest &r)
     w.field("pri", r.priority);
     w.field("shard", r.shard);
     w.field("enq", r.enqueueTick);
-    std::string features = "[";
-    for (std::size_t i = 0; i < r.features.size(); ++i) {
-        if (i > 0)
-            features += ',';
-        features += obs::jsonNumber(r.features[i]);
-    }
-    features += ']';
-    w.fieldRaw("features", features);
+    w.fieldRaw("features", arrayJson(r.features, obs::jsonNumber));
     return w.str();
-}
-
-const obs::JsonValue *
-requireNumber(const obs::JsonValue &doc, const char *key)
-{
-    const obs::JsonValue *v = doc.find(key);
-    return v != nullptr && v->kind == obs::JsonValue::Kind::Number
-               ? v
-               : nullptr;
-}
-
-bool
-u64Field(const obs::JsonValue &doc, const char *key, std::uint64_t &out)
-{
-    const obs::JsonValue *v = requireNumber(doc, key);
-    if (v == nullptr || v->number < 0)
-        return false;
-    out = static_cast<std::uint64_t>(v->number);
-    return true;
-}
-
-bool
-intFieldIn(const obs::JsonValue &doc, const char *key, int lo, int hi,
-           int &out)
-{
-    const obs::JsonValue *v = requireNumber(doc, key);
-    if (v == nullptr)
-        return false;
-    const int value = static_cast<int>(v->number);
-    if (value < lo || value > hi)
-        return false;
-    out = value;
-    return true;
 }
 
 bool
@@ -147,15 +81,8 @@ requestFromJson(const obs::JsonValue &v, JournalRequest &out)
         !intFieldIn(v, "shard", 0, 1 << 20, r.shard) ||
         !u64Field(v, "enq", r.enqueueTick))
         return false;
-    const obs::JsonValue *features = v.find("features");
-    if (features == nullptr || !features->isArray())
+    if (!arrayFromJson(v.find("features"), obs::numberFromJson, r.features))
         return false;
-    r.features.reserve(features->array.size());
-    for (const obs::JsonValue &f : features->array) {
-        if (f.kind != obs::JsonValue::Kind::Number)
-            return false;
-        r.features.push_back(f.number);
-    }
     out = std::move(r);
     return true;
 }
@@ -251,100 +178,61 @@ breakerFromJson(const obs::JsonValue &v, JournalBreaker &out)
     return true;
 }
 
-template <typename T, typename Fn>
-std::string
-arrayJson(const std::vector<T> &items, Fn &&itemJson)
+/** The payload fields segments and snapshots share. */
+template <typename Record>
+bool
+sharedFromDoc(const obs::JsonValue &doc, Record &r, std::string *error)
 {
-    std::string out = "[";
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i > 0)
-            out += ',';
-        out += itemJson(items[i]);
-    }
-    out += ']';
-    return out;
+    if (!u64Field(doc, "tick", r.tick) || !u64Field(doc, "next_id", r.nextId))
+        return obs::recordError(error, "missing tick/next_id");
+    if (!arrayFromJson(doc.find("responses"), responseFromJson, r.responses))
+        return obs::recordError(error, "bad responses array");
+    if (!arrayFromJson(doc.find("breakers"), breakerFromJson, r.breakers))
+        return obs::recordError(error, "bad breakers array");
+    const obs::JsonValue *ops = doc.find("stat_ops");
+    std::string ops_error;
+    if (ops == nullptr || !obs::statOpsFromJson(*ops, r.statOps, &ops_error))
+        return obs::recordError(error, "bad stat_ops: " + ops_error);
+    return true;
 }
 
-template <typename T, typename Fn>
 bool
-arrayFromJson(const obs::JsonValue *v, Fn &&itemFromJson,
-              std::vector<T> &out)
+segmentFromDoc(const obs::JsonValue &doc, JournalSegment &out,
+               std::string *error)
 {
-    if (v == nullptr || !v->isArray())
+    JournalSegment parsed;
+    if (!sharedFromDoc(doc, parsed, error))
         return false;
-    out.clear();
-    out.reserve(v->array.size());
-    for (const obs::JsonValue &item : v->array) {
-        T parsed;
-        if (!itemFromJson(item, parsed))
+    if (!arrayFromJson(doc.find("admitted"), requestFromJson,
+                       parsed.admitted))
+        return obs::recordError(error, "bad admitted array");
+    out = std::move(parsed);
+    return true;
+}
+
+bool
+snapshotFromDoc(const obs::JsonValue &doc, JournalSnapshot &out,
+                std::string *error)
+{
+    JournalSnapshot parsed;
+    if (!sharedFromDoc(doc, parsed, error))
+        return false;
+    if (!arrayFromJson(doc.find("queued"), requestFromJson, parsed.queued))
+        return obs::recordError(error, "bad queued array");
+    const auto lkgFromJson = [](const obs::JsonValue &v,
+                                std::pair<std::uint64_t, double> &kv) {
+        std::vector<double> pair;
+        if (!arrayFromJson(&v, obs::numberFromJson, pair) ||
+            pair.size() != 2 ||
+            !(pair[0] >= 0 && pair[0] < 18446744073709551616.0))
             return false;
-        out.push_back(std::move(parsed));
-    }
+        kv = {static_cast<std::uint64_t>(pair[0]), pair[1]};
+        return true;
+    };
+    if (!arrayFromJson(doc.find("lkg"), lkgFromJson, parsed.lastKnownGood))
+        return obs::recordError(error, "bad lkg array");
+    out = std::move(parsed);
     return true;
-}
-
-/** Shared header + body fields of both record kinds. */
-void
-recordHeader(obs::JsonWriter &w, const char *kind, std::uint64_t tick,
-             std::uint64_t nextId, std::uint64_t digest)
-{
-    w.field("journal_version", kJournalVersion);
-    w.field("kind", kind);
-    w.field("config_digest", digestHex(digest));
-    w.field("tick", tick);
-    w.field("next_id", nextId);
-}
-
-bool
-recordHeaderFromJson(const obs::JsonValue &doc, const char *kind,
-                     std::uint64_t digest, std::uint64_t &tick,
-                     std::uint64_t &nextId, std::string &error)
-{
-    const obs::JsonValue *version = requireNumber(doc, "journal_version");
-    if (version == nullptr ||
-        static_cast<int>(version->number) != kJournalVersion) {
-        error = "missing or unsupported journal_version";
-        return false;
-    }
-    const obs::JsonValue *k = doc.find("kind");
-    if (k == nullptr || k->kind != obs::JsonValue::Kind::String ||
-        k->string != kind) {
-        error = std::string("record kind is not '") + kind + "'";
-        return false;
-    }
-    const obs::JsonValue *d = doc.find("config_digest");
-    if (d == nullptr || d->kind != obs::JsonValue::Kind::String) {
-        error = "missing config_digest";
-        return false;
-    }
-    if (d->string != digestHex(digest)) {
-        error = "config digest mismatch (record written by a different "
-                "serving configuration): have " +
-                d->string + ", want " + digestHex(digest);
-        return false;
-    }
-    if (!u64Field(doc, "tick", tick) || !u64Field(doc, "next_id", nextId)) {
-        error = "missing tick/next_id";
-        return false;
-    }
-    return true;
-}
-
-/** Tick parsed from `seg-NNNNNNNN.json` / `snap-NNNNNNNN.json`. */
-std::optional<std::uint64_t>
-tickFromName(const std::string &name, const char *prefix)
-{
-    const std::string_view pre(prefix);
-    if (name.size() != pre.size() + 8 + 5 || !name.starts_with(pre) ||
-        !name.ends_with(".json"))
-        return std::nullopt;
-    std::uint64_t tick = 0;
-    for (std::size_t i = pre.size(); i < pre.size() + 8; ++i) {
-        if (name[i] < '0' || name[i] > '9')
-            return std::nullopt;
-        tick = tick * 10 + static_cast<std::uint64_t>(name[i] - '0');
-    }
-    return tick;
 }
 
 } // namespace
@@ -404,8 +292,8 @@ journalConfigDigest(const Params &params)
 std::string
 journalSegmentJson(const JournalSegment &seg, std::uint64_t digest)
 {
-    obs::JsonWriter w;
-    recordHeader(w, "segment", seg.tick, seg.nextId, digest);
+    obs::JsonWriter w = obs::recordHeader(kSegment, seg.tick, digest);
+    w.field("next_id", seg.nextId);
     w.fieldRaw("admitted", arrayJson(seg.admitted, requestJson));
     w.fieldRaw("responses", arrayJson(seg.responses, responseJson));
     w.fieldRaw("breakers", arrayJson(seg.breakers, breakerJson));
@@ -417,46 +305,15 @@ bool
 journalSegmentFromJson(const std::string &text, std::uint64_t digest,
                        JournalSegment &out, std::string *error)
 {
-    const auto fail = [error](const std::string &msg) {
-        if (error != nullptr)
-            *error = msg;
-        return false;
-    };
-    std::string parse_error;
-    const auto doc = obs::jsonParse(text, &parse_error);
-    if (!doc)
-        return fail("bad JSON: " + parse_error);
-    if (!doc->isObject())
-        return fail("not a JSON object");
-
-    JournalSegment parsed;
-    std::string header_error;
-    if (!recordHeaderFromJson(*doc, "segment", digest, parsed.tick,
-                              parsed.nextId, header_error))
-        return fail(header_error);
-    if (!arrayFromJson(doc->find("admitted"), requestFromJson,
-                       parsed.admitted))
-        return fail("bad admitted array");
-    if (!arrayFromJson(doc->find("responses"), responseFromJson,
-                       parsed.responses))
-        return fail("bad responses array");
-    if (!arrayFromJson(doc->find("breakers"), breakerFromJson,
-                       parsed.breakers))
-        return fail("bad breakers array");
-    const obs::JsonValue *ops = doc->find("stat_ops");
-    std::string ops_error;
-    if (ops == nullptr ||
-        !obs::statOpsFromJson(*ops, parsed.statOps, &ops_error))
-        return fail("bad stat_ops: " + ops_error);
-    out = std::move(parsed);
-    return true;
+    const auto doc = obs::parseRecord(text, kSegment, digest, error);
+    return doc && segmentFromDoc(*doc, out, error);
 }
 
 std::string
 journalSnapshotJson(const JournalSnapshot &snap, std::uint64_t digest)
 {
-    obs::JsonWriter w;
-    recordHeader(w, "snapshot", snap.tick, snap.nextId, digest);
+    obs::JsonWriter w = obs::recordHeader(kSnapshot, snap.tick, digest);
+    w.field("next_id", snap.nextId);
     w.fieldRaw("queued", arrayJson(snap.queued, requestJson));
     w.fieldRaw("responses", arrayJson(snap.responses, responseJson));
     w.fieldRaw("breakers", arrayJson(snap.breakers, breakerJson));
@@ -474,111 +331,39 @@ bool
 journalSnapshotFromJson(const std::string &text, std::uint64_t digest,
                         JournalSnapshot &out, std::string *error)
 {
-    const auto fail = [error](const std::string &msg) {
-        if (error != nullptr)
-            *error = msg;
-        return false;
-    };
-    std::string parse_error;
-    const auto doc = obs::jsonParse(text, &parse_error);
-    if (!doc)
-        return fail("bad JSON: " + parse_error);
-    if (!doc->isObject())
-        return fail("not a JSON object");
-
-    JournalSnapshot parsed;
-    std::string header_error;
-    if (!recordHeaderFromJson(*doc, "snapshot", digest, parsed.tick,
-                              parsed.nextId, header_error))
-        return fail(header_error);
-    if (!arrayFromJson(doc->find("queued"), requestFromJson,
-                       parsed.queued))
-        return fail("bad queued array");
-    if (!arrayFromJson(doc->find("responses"), responseFromJson,
-                       parsed.responses))
-        return fail("bad responses array");
-    if (!arrayFromJson(doc->find("breakers"), breakerFromJson,
-                       parsed.breakers))
-        return fail("bad breakers array");
-    const auto lkgFromJson = [](const obs::JsonValue &v,
-                                std::pair<std::uint64_t, double> &kv) {
-        if (!v.isArray() || v.array.size() != 2 ||
-            v.array[0].kind != obs::JsonValue::Kind::Number ||
-            v.array[1].kind != obs::JsonValue::Kind::Number ||
-            v.array[0].number < 0)
-            return false;
-        kv.first = static_cast<std::uint64_t>(v.array[0].number);
-        kv.second = v.array[1].number;
-        return true;
-    };
-    if (!arrayFromJson(doc->find("lkg"), lkgFromJson,
-                       parsed.lastKnownGood))
-        return fail("bad lkg array");
-    const obs::JsonValue *ops = doc->find("stat_ops");
-    std::string ops_error;
-    if (ops == nullptr ||
-        !obs::statOpsFromJson(*ops, parsed.statOps, &ops_error))
-        return fail("bad stat_ops: " + ops_error);
-    out = std::move(parsed);
-    return true;
+    const auto doc = obs::parseRecord(text, kSnapshot, digest, error);
+    return doc && snapshotFromDoc(*doc, out, error);
 }
 
 void
 WriteAheadJournal::open(const std::string &dir, std::uint64_t digest,
                         obs::Registry *registry)
 {
-    DFAULT_ASSERT(!dir.empty(), "write-ahead journal needs a directory");
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        DFAULT_FATAL("cannot create journal directory '", dir,
-                     "': ", ec.message());
-    dir_ = dir;
-    digest_ = digest;
+    store_.open(dir, digest);
     registry_ =
         registry != nullptr ? registry : &obs::Registry::instance();
 }
 
-std::string
-WriteAheadJournal::segmentPath(std::uint64_t tick) const
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "seg-%08" PRIu64 ".json", tick);
-    return dir_ + "/" + name;
-}
-
-std::string
-WriteAheadJournal::snapshotPath(std::uint64_t tick) const
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "snap-%08" PRIu64 ".json", tick);
-    return dir_ + "/" + name;
-}
-
 bool
-WriteAheadJournal::writeRecord(const std::string &path, std::string body,
-                               std::uint64_t tick, bool snapshot)
+WriteAheadJournal::writeRecord(const obs::RecordKind &kind,
+                               std::uint64_t tick, std::string body)
 {
     auto &inj = fi::Injector::instance();
-    if (inj.armed() && inj.shouldFire("journal.write", tick)) {
-        DFAULT_WARN("journal: injected write failure for tick ", tick,
-                    " (journal.write); the tick stays non-durable and "
-                    "folds into the next record");
-        registry_->counter("journal.write_failures",
-                           "journal records that failed to land")
-            .inc();
-        return false;
-    }
+    const bool injected = inj.armed() && inj.shouldFire("journal.write", tick);
     // journal.torn_segment models the write the loader's quarantine
     // path exists for: the process believes the record landed (so it
     // resets its delta), but only half the body survived.
-    if (inj.armed() && inj.shouldFire("journal.torn_segment", tick)) {
+    if (!injected && inj.armed() &&
+        inj.shouldFire("journal.torn_segment", tick)) {
         DFAULT_WARN("journal: injected torn record for tick ", tick,
                     " (journal.torn_segment)");
         body.resize(body.size() / 2);
     }
-    if (!fi::atomicWriteFile(path, body)) {
-        DFAULT_WARN("journal: failed to write ", path,
+    if (injected || !store_.write(kind, tick, body)) {
+        DFAULT_WARN("journal: ",
+                    injected ? "injected write failure (journal.write)"
+                             : "failed to write " + store_.path(kind, tick),
+                    " for tick ", tick,
                     "; the tick stays non-durable and folds into the "
                     "next record");
         registry_->counter("journal.write_failures",
@@ -586,6 +371,7 @@ WriteAheadJournal::writeRecord(const std::string &path, std::string body,
             .inc();
         return false;
     }
+    const bool snapshot = &kind == &kSnapshot;
     registry_
         ->counter(snapshot ? "journal.snapshots_written"
                            : "journal.segments_written",
@@ -599,80 +385,25 @@ bool
 WriteAheadJournal::writeSegment(const JournalSegment &seg)
 {
     DFAULT_ASSERT(enabled(), "writeSegment() on a disabled journal");
-    return writeRecord(segmentPath(seg.tick),
-                       journalSegmentJson(seg, digest_) + "\n", seg.tick,
-                       false);
+    return writeRecord(kSegment, seg.tick,
+                       journalSegmentJson(seg, store_.digest()) + "\n");
 }
 
 bool
 WriteAheadJournal::writeSnapshot(const JournalSnapshot &snap)
 {
     DFAULT_ASSERT(enabled(), "writeSnapshot() on a disabled journal");
-    if (!writeRecord(snapshotPath(snap.tick),
-                     journalSnapshotJson(snap, digest_) + "\n", snap.tick,
-                     true))
+    if (!writeRecord(kSnapshot, snap.tick,
+                     journalSnapshotJson(snap, store_.digest()) + "\n"))
         return false;
     // Keep two snapshots (a torn newest one falls back to the
-    // previous), retire everything the older retained one subsumes.
-    std::uint64_t prev = 0;
-    bool havePrev = false;
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir_, ec)) {
-        if (!entry.is_regular_file())
-            continue;
-        const auto tick =
-            tickFromName(entry.path().filename().string(), "snap-");
-        if (tick && *tick < snap.tick && (!havePrev || *tick > prev)) {
-            prev = *tick;
-            havePrev = true;
-        }
-    }
-    if (havePrev)
-        compact(prev);
+    // previous) and retire everything the older retained one
+    // subsumes. Ticks start at 1, so 0 means no snapshot yet.
+    const std::uint64_t prev = newestSnapshot_;
+    if (prev > 0 && prev < snap.tick)
+        store_.retire({{&kSegment, prev}, {&kSnapshot, prev - 1}});
+    newestSnapshot_ = snap.tick;
     return true;
-}
-
-void
-WriteAheadJournal::compact(std::uint64_t keepAfterTick)
-{
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir_, ec);
-    if (ec)
-        return;
-    std::vector<std::filesystem::path> retire;
-    for (const auto &entry : it) {
-        if (!entry.is_regular_file())
-            continue;
-        const std::string name = entry.path().filename().string();
-        const auto segTick = tickFromName(name, "seg-");
-        const auto snapTick = tickFromName(name, "snap-");
-        if ((segTick && *segTick <= keepAfterTick) ||
-            (snapTick && *snapTick < keepAfterTick))
-            retire.push_back(entry.path());
-    }
-    for (const auto &path : retire) {
-        std::filesystem::remove(path, ec);
-        if (ec)
-            DFAULT_WARN("journal: cannot retire ", path.string(), ": ",
-                        ec.message());
-    }
-}
-
-void
-WriteAheadJournal::quarantine(const std::string &path,
-                              const std::string &reason)
-{
-    DFAULT_WARN("journal: quarantining ", path, ": ", reason);
-    registry_
-        ->counter("journal.quarantined_files",
-                  "invalid journal records quarantined at restore")
-        .inc();
-    std::error_code ec;
-    std::filesystem::rename(path, path + ".quarantined", ec);
-    if (ec)
-        DFAULT_WARN("journal: cannot rename ", path,
-                    " aside: ", ec.message());
 }
 
 WriteAheadJournal::Restored
@@ -680,48 +411,28 @@ WriteAheadJournal::load()
 {
     Restored out;
     DFAULT_ASSERT(enabled(), "load() on a disabled journal");
-
-    std::map<std::uint64_t, std::string> snaps;
-    std::map<std::uint64_t, std::string> segs;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir_, ec);
-    if (ec) {
-        DFAULT_WARN("journal: cannot list '", dir_, "': ", ec.message());
-        return out;
-    }
-    for (const auto &entry : it) {
-        if (!entry.is_regular_file())
-            continue;
-        const std::string name = entry.path().filename().string();
-        if (const auto tick = tickFromName(name, "snap-"))
-            snaps[*tick] = entry.path().string();
-        else if (const auto tick2 = tickFromName(name, "seg-"))
-            segs[*tick2] = entry.path().string();
-    }
+    const auto quarantined = [this] {
+        registry_
+            ->counter("journal.quarantined_files",
+                      "invalid journal records quarantined at restore")
+            .inc();
+    };
 
     // Newest valid snapshot wins; an invalid one is quarantined and
     // replay must stop *before* its tick even when an older snapshot
     // is usable — the corrupt snapshot was that tick's only record.
     std::uint64_t stopBefore = ~0ULL;
-    for (auto sit = snaps.rbegin(); sit != snaps.rend(); ++sit) {
-        std::string error;
-        const auto body = fi::readFile(sit->second, &error);
-        JournalSnapshot snap;
-        if (!body ||
-            !journalSnapshotFromJson(*body, digest_, snap, &error)) {
-            quarantine(sit->second, error);
-            stopBefore = sit->first;
-            continue;
-        }
-        if (snap.tick != sit->first) {
-            quarantine(sit->second, "tick in body does not match name");
-            stopBefore = sit->first;
+    const std::vector<std::uint64_t> snaps = store_.list(kSnapshot);
+    for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
+        if (!store_.load(kSnapshot, *it, out.snapshot, snapshotFromDoc)) {
+            quarantined();
+            stopBefore = *it;
             continue;
         }
         out.hasSnapshot = true;
-        out.snapshot = std::move(snap);
         out.any = true;
-        out.tick = sit->first;
+        out.tick = *it;
+        newestSnapshot_ = *it;
         break;
     }
 
@@ -729,20 +440,14 @@ WriteAheadJournal::load()
     // benign (that record's write failed and its delta folded into the
     // next one); a present-but-invalid record is data loss and replay
     // stops at the record before it.
-    for (const auto &[tick, path] : segs) {
+    for (const std::uint64_t tick : store_.list(kSegment)) {
         if (out.hasSnapshot && tick <= out.snapshot.tick)
             continue;
         if (tick >= stopBefore)
             break;
-        std::string error;
-        const auto body = fi::readFile(path, &error);
         JournalSegment seg;
-        if (!body || !journalSegmentFromJson(*body, digest_, seg, &error)) {
-            quarantine(path, error);
-            break;
-        }
-        if (seg.tick != tick) {
-            quarantine(path, "tick in body does not match name");
+        if (!store_.load(kSegment, tick, seg, segmentFromDoc)) {
+            quarantined();
             break;
         }
         out.segments.push_back(std::move(seg));

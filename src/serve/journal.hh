@@ -2,16 +2,14 @@
  * @file
  * Tick-granular write-ahead journal for serve::PredictionService.
  *
- * The fleet service runs for days; a crashed predictor has to come
- * back without losing answered work or forgetting its view of the
- * fleet (ROADMAP item 2). This module makes the service durable the
- * same way the campaign checkpoint made sweeps durable
- * (core/checkpoint.hh): every committed tick is appended as one
- * atomically-written JSON *segment*, periodically compacted into a
- * full-state *snapshot*, and a restore replays snapshot + segments to
- * the exact pre-crash state — same serve.* counters (via deferred
- * stat-op replay, obs/deferral.hh), same breaker phase, same
- * last-known-good cache, same response transcript.
+ * Every committed tick is appended as one *segment* record,
+ * periodically compacted into a full-state *snapshot* record, and a
+ * restore replays snapshot + segments to the exact pre-crash state —
+ * same serve.* counters (via deferred stat-op replay,
+ * obs/deferral.hh), breaker phase, last-known-good cache and response
+ * transcript. The records live in an obs::RecordStore, the one the
+ * sweep checkpoint uses (`seg-NNNNNNNN.json` / `snap-NNNNNNNN.json`,
+ * named by tick); this module is their schemas and replay policy.
  *
  * The WAL contract: work whose tick reached the journal is never
  * re-executed; work past the last durable record is lost and
@@ -20,41 +18,31 @@
  * sequence (serve/service.hh), a killed-and-resumed run reaches the
  * transcript and stats digest of a run that never died, bit for bit.
  *
- * Record semantics:
- *
  *  - A segment at tick T carries the *delta since the previous durable
  *    record*: requests admitted, responses committed (in commit
  *    order), the post-tick breaker state of every shard, and the
  *    serve.* counter increments as obs::StatOps. Deltas compose, so a
- *    record whose write failed outright (no file lands —
- *    fi::atomicWriteFile never leaves a torn destination) simply
- *    folds into the next record; a *missing* tick number is benign.
+ *    record whose write failed outright simply folds into the next
+ *    one; a *missing* tick number is benign.
  *  - A snapshot at tick T replaces the segment for that tick and
  *    carries absolute state: queued requests, the full transcript,
  *    breakers, the LKG cache, and cumulative counter totals. Writing
- *    one retires every record at or before the *previous* snapshot
- *    (two snapshots are always retained so a torn newest snapshot can
- *    fall back).
- *  - A file that is *present but invalid* — truncated, garbage, or
- *    carrying a different config digest — is data loss: it is
- *    quarantined (renamed `<name>.quarantined`, counted in
- *    journal.quarantined_files) and replay stops at the record before
- *    it. The ticks from there on are re-served by the resumed driver,
- *    never silently replayed from later records.
+ *    one retires every record at or before the *previous* snapshot,
+ *    so a torn newest snapshot can fall back to it.
+ *  - A record that is *present but invalid* — truncated, garbage, or
+ *    stamped with another config digest — is data loss: the store
+ *    quarantines it (journal.quarantined_files) and replay stops at
+ *    the record before it, because later deltas assume it applied.
  *
- * Every record embeds a config digest (journalConfigDigest() over the
- * service tuning plus a caller salt for the traffic configuration);
- * records from a different configuration are quarantined wholesale.
- * Thread count and snapshot cadence are deliberately excluded — they
- * cannot change results, so changing them must not invalidate a
- * journal.
+ * The config digest (journalConfigDigest()) excludes thread count and
+ * snapshot cadence: they cannot change results, so changing them must
+ * not invalidate a journal.
  *
- * Fault points (docs/robustness.md): journal.write (the record write
- * fails, nothing lands), journal.torn_segment (the write "succeeds"
- * but only half the body lands — a torn write surviving a rename,
- * i.e. the case the loader's quarantine path exists for). Both keyed
- * by the record's tick. journal.* stats are digest-excluded like
- * fi.*: a faulted-but-recovered run digest-matches a clean one.
+ * Fault points (docs/robustness.md), keyed by the record's tick:
+ * journal.write (the write fails, nothing lands) and
+ * journal.torn_segment (only half the body lands — the case the
+ * quarantine path exists for). journal.* stats are digest-excluded
+ * like fi.*: a faulted-but-recovered run digest-matches a clean one.
  */
 
 #ifndef DFAULT_SERVE_JOURNAL_HH
@@ -66,6 +54,7 @@
 #include <vector>
 
 #include "obs/deferral.hh"
+#include "obs/record_store.hh"
 #include "serve/service.hh"
 
 namespace dfault::obs {
@@ -169,9 +158,7 @@ bool journalSnapshotFromJson(const std::string &text, std::uint64_t digest,
                              std::string *error = nullptr);
 
 /**
- * The on-disk journal: `seg-NNNNNNNN.json` / `snap-NNNNNNNN.json`
- * (named by tick) under one directory, all writes through
- * fi::atomicWriteFile. Not thread-safe; the owning service calls it
+ * The on-disk journal. Not thread-safe; the owning service calls it
  * under its own lock from the single tick driver.
  */
 class WriteAheadJournal
@@ -179,14 +166,13 @@ class WriteAheadJournal
   public:
     /**
      * Bind to @p dir (created if missing; fatal when that fails) and
-     * pin the config @p digest every record embeds. @p registry
+     * pin the config @p digest every record carries. @p registry
      * receives the journal.* stats (nullptr: the global registry).
      */
     void open(const std::string &dir, std::uint64_t digest,
               obs::Registry *registry = nullptr);
 
-    bool enabled() const { return !dir_.empty(); }
-    const std::string &dir() const { return dir_; }
+    bool enabled() const { return store_.enabled(); }
 
     /**
      * Durably append one tick record. Returns false when the write
@@ -215,22 +201,18 @@ class WriteAheadJournal
      * (invalid ones are quarantined and the next older tried), then
      * every valid segment after it up to — never across — the first
      * invalid record. See the file comment for why replay must stop
-     * there rather than skip it.
+     * there rather than skip it. Call once, before any write.
      */
     Restored load();
 
-    std::string segmentPath(std::uint64_t tick) const;
-    std::string snapshotPath(std::uint64_t tick) const;
-
   private:
-    bool writeRecord(const std::string &path, std::string body,
-                     std::uint64_t tick, bool snapshot);
-    void quarantine(const std::string &path, const std::string &reason);
-    void compact(std::uint64_t keepAfterTick);
+    bool writeRecord(const obs::RecordKind &kind, std::uint64_t tick,
+                     std::string body);
 
-    std::string dir_;
-    std::uint64_t digest_ = 0;
+    obs::RecordStore store_;
     obs::Registry *registry_ = nullptr;
+    /** Tick of the newest snapshot on disk; 0 when there is none. */
+    std::uint64_t newestSnapshot_ = 0;
 };
 
 /**

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the sweep checkpoint journal: config digesting, cell
- * JSON round trips, and the journal's tolerance of corrupt, stale and
- * out-of-range cell files.
+ * Unit tests for the sweep checkpoint: config digesting, cell JSON
+ * round trips, and the cell loader's handling of corrupt, stale,
+ * mislabelled and out-of-range cell records in the record store.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "core/checkpoint.hh"
 #include "fi/durable.hh"
 #include "obs/deferral.hh"
+#include "obs/record_store.hh"
 
 namespace dfault::core {
 namespace {
@@ -57,6 +58,14 @@ someMeasurement()
     m.run.expectedSdc = 0.125;
     m.run.allocatedWords = 2048.0;
     return m;
+}
+
+/** Record @p cell in @p store the way sweep() does. */
+bool
+storeCell(const obs::RecordStore &store, const CheckpointCell &cell)
+{
+    return store.write(kCheckpointCell, cell.cell,
+                       checkpointCellJson(cell, store.digest()) + "\n");
 }
 
 struct JournalTest : ::testing::Test
@@ -180,9 +189,9 @@ TEST(CheckpointCellJson, RejectsWrongDigestAndGarbage)
 
 TEST_F(JournalTest, StoreLoadRoundTrip)
 {
-    CheckpointJournal journal;
-    journal.open(dir, 42);
-    ASSERT_TRUE(journal.enabled());
+    obs::RecordStore store;
+    store.open(dir, 42);
+    ASSERT_TRUE(store.enabled());
 
     CheckpointCell a;
     a.cell = 0;
@@ -191,10 +200,10 @@ TEST_F(JournalTest, StoreLoadRoundTrip)
     b.cell = 2;
     b.measurement = someMeasurement();
     b.measurement.label = "srad";
-    ASSERT_TRUE(journal.store(a));
-    ASSERT_TRUE(journal.store(b));
+    ASSERT_TRUE(storeCell(store, a));
+    ASSERT_TRUE(storeCell(store, b));
 
-    const auto cells = journal.load(4);
+    const auto cells = loadCheckpointCells(store, 4);
     ASSERT_EQ(cells.size(), 2u);
     EXPECT_EQ(cells.at(0).measurement.label, "kmeans(par)");
     EXPECT_EQ(cells.at(2).measurement.label, "srad");
@@ -202,42 +211,65 @@ TEST_F(JournalTest, StoreLoadRoundTrip)
 
 TEST_F(JournalTest, SkipsCorruptStaleAndOutOfRangeCells)
 {
-    CheckpointJournal journal;
-    journal.open(dir, 42);
+    obs::RecordStore store;
+    store.open(dir, 42);
 
     CheckpointCell good;
     good.cell = 1;
     good.measurement = someMeasurement();
-    ASSERT_TRUE(journal.store(good));
+    ASSERT_TRUE(storeCell(store, good));
 
     // Out of range for a 2-cell sweep.
     CheckpointCell outside;
     outside.cell = 7;
     outside.measurement = someMeasurement();
-    ASSERT_TRUE(journal.store(outside));
+    ASSERT_TRUE(storeCell(store, outside));
 
-    // A cell journaled by a different configuration.
-    CheckpointJournal other;
+    // A cell recorded by a different configuration.
+    obs::RecordStore other;
     other.open(dir, 43);
     CheckpointCell stale;
     stale.cell = 0;
     stale.measurement = someMeasurement();
-    ASSERT_TRUE(other.store(stale));
+    ASSERT_TRUE(storeCell(other, stale));
 
     // Garbage that merely looks like a cell file.
     ASSERT_TRUE(
         fi::atomicWriteFile(dir + "/cell-000099.json", "{broken"));
 
-    const auto cells = journal.load(2);
+    // A record of another kind under a cell name.
+    std::string foreign = checkpointCellJson(good, 42);
+    const std::string cellKind = "\"kind\":\"cell\"";
+    ASSERT_NE(foreign.find(cellKind), std::string::npos);
+    foreign.replace(foreign.find(cellKind), cellKind.size(),
+                    "\"kind\":\"segment\"");
+    ASSERT_TRUE(fi::atomicWriteFile(dir + "/cell-000004.json", foreign));
+
+    // A valid cell 1 under the name of cell 5.
+    ASSERT_TRUE(fi::atomicWriteFile(dir + "/cell-000005.json",
+                                    checkpointCellJson(good, 42)));
+
+    const auto cells = loadCheckpointCells(store, 2);
     ASSERT_EQ(cells.size(), 1u);
     EXPECT_EQ(cells.begin()->first, 1u);
+
+    // Invalid cells are renamed aside, to be re-measured; a valid but
+    // out-of-range one is only skipped.
+    for (const char *name : {"cell-000000", "cell-000099", "cell-000004",
+                             "cell-000005"}) {
+        const std::string path = dir + "/" + name + ".json";
+        EXPECT_TRUE(std::filesystem::exists(path + ".quarantined")) << path;
+        EXPECT_FALSE(std::filesystem::exists(path)) << path;
+    }
+    EXPECT_TRUE(std::filesystem::exists(dir + "/cell-000001.json"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/cell-000007.json"));
 }
 
 TEST_F(JournalTest, DisabledJournalLoadsNothing)
 {
-    CheckpointJournal journal;
-    EXPECT_FALSE(journal.enabled());
-    EXPECT_TRUE(journal.load(8).empty());
+    obs::RecordStore store;
+    EXPECT_FALSE(store.enabled());
+    EXPECT_TRUE(loadCheckpointCells(store, 8).empty());
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "par/pool.hh"
 
 namespace dfault::par {
@@ -112,6 +113,33 @@ TEST(Pool, SetGlobalThreadsReplacesTheGlobalPool)
     EXPECT_EQ(Pool::global().threads(), 3);
     Pool::setGlobalThreads(1);
     EXPECT_EQ(Pool::global().threads(), 1);
+}
+
+/**
+ * fatal() raised inside a pool task exits with status 1 whichever
+ * thread raises it. On a worker, running static destructors would make
+ * the global pool join its own thread; the caller's task blocks so that
+ * at two threads the worker is the one to raise it.
+ */
+TEST(PoolDeath, FatalInsideATaskExitsWithCodeOne)
+{
+    // A fresh child process: a forked one would inherit the parent's
+    // global pool object without its threads.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const int threads : {1, 2}) {
+        EXPECT_EXIT(
+            {
+                Pool::setGlobalThreads(threads);
+                Pool::global().parallelFor(2, [threads](std::size_t) {
+                    if (threads > 1 && Pool::currentSlot() == 0)
+                        for (;;)
+                            std::this_thread::yield();
+                    DFAULT_FATAL("task gave up");
+                });
+            },
+            ::testing::ExitedWithCode(1), "task gave up")
+            << "threads " << threads;
+    }
 }
 
 } // namespace
