@@ -5,7 +5,8 @@
  * double-bit-detect decode paths), the cache and MCU models, feature
  * correlation (full Spearman and the ranking kernel alone), the three
  * ML models' prediction latency (the paper's "predict DRAM errors
- * within 300 ms" claim), and one full error-integration run.
+ * within 300 ms" claim), one full error-integration run, and the
+ * serving journal's encoding (one JSON number, one snapshot record).
  *
  * Each kernel benchmark carries extra custom counters alongside
  * google-benchmark's mean time:
@@ -30,6 +31,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -44,7 +46,9 @@
 #include "ml/selection.hh"
 #include "ml/svr.hh"
 #include "obs/histogram.hh"
+#include "obs/json.hh"
 #include "obs/perf_counters.hh"
+#include "serve/journal.hh"
 #include "stats/correlation.hh"
 #include "sys/platform.hh"
 
@@ -430,6 +434,89 @@ BM_ErrorIntegratorRun(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ErrorIntegratorRun)->Unit(benchmark::kMillisecond);
+
+/**
+ * obs::jsonNumber over the values records carry: full-precision
+ * model outputs and features, short decimals and small integers.
+ */
+void
+BM_JsonNumber(benchmark::State &state)
+{
+    Rng rng(7);
+    std::vector<double> values(1024);
+    for (std::size_t i = 0; i < values.size(); ++i)
+        values[i] = i % 4 == 0   ? rng.lognormal(-9.0, 2.0)
+                    : i % 4 == 1 ? rng.uniform(-1.0, 1.0)
+                    : i % 4 == 2 ? static_cast<double>(rng.uniformInt(
+                                       std::uint64_t{1000})) * 0.25
+                                 : static_cast<double>(i);
+    std::size_t i = 0;
+    KernelProfile prof(state, 16);
+    for (auto _ : state) {
+        prof.begin();
+        benchmark::DoNotOptimize(obs::jsonNumber(values[i]));
+        i = (i + 1) % values.size();
+        prof.end();
+    }
+}
+BENCHMARK(BM_JsonNumber);
+
+/**
+ * One serving-journal snapshot record over a 16k-response transcript,
+ * as the service writes it: the transcript spliced in from its
+ * once-per-response encoding, the rest (64 queued requests, breakers,
+ * a 512-key last-known-good cache, counters) encoded afresh.
+ */
+void
+BM_JournalSnapshot(benchmark::State &state)
+{
+    Rng rng(8);
+    std::vector<serve::Response> transcript(16384);
+    for (std::size_t i = 0; i < transcript.size(); ++i) {
+        serve::Response &r = transcript[i];
+        r.id = i;
+        r.key = rng.uniformInt(std::uint64_t{512});
+        r.priority = static_cast<serve::Priority>(i % 3);
+        r.shard = static_cast<int>(i % 4);
+        if (i % 16 == 0) {
+            r.prediction = std::nan("");
+            r.reason = "queue full";
+        } else {
+            r.disposition = serve::Disposition::Served;
+            r.prediction = rng.lognormal(-9.0, 2.0);
+        }
+    }
+    serve::EncodedResponses encoded;
+    encoded.extend(transcript);
+
+    serve::JournalSnapshot snap;
+    snap.tick = 512;
+    snap.nextId = transcript.size() + 64;
+    for (std::uint64_t id = transcript.size(); id < snap.nextId; ++id) {
+        serve::JournalRequest q;
+        q.id = id;
+        q.key = rng.uniformInt(std::uint64_t{512});
+        q.features = {rng.uniform(), rng.uniform(), rng.uniform()};
+        snap.queued.push_back(q);
+    }
+    snap.breakers.resize(4);
+    for (std::uint64_t key = 0; key < 512; ++key)
+        snap.lastKnownGood.emplace_back(key, rng.lognormal(-9.0, 2.0));
+    serve::CounterBlock totals;
+    totals.submitted = snap.nextId;
+    totals.served = transcript.size();
+    totals.ticks = snap.tick;
+    snap.statOps = serve::counterBlockOps(totals);
+
+    KernelProfile prof(state);
+    for (auto _ : state) {
+        prof.begin();
+        benchmark::DoNotOptimize(
+            serve::journalSnapshotJson(snap, 1, encoded.array(0)));
+        prof.end();
+    }
+}
+BENCHMARK(BM_JournalSnapshot)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

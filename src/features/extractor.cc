@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "obs/events.hh"
 #include "obs/stats.hh"
 #include "obs/timer.hh"
@@ -380,16 +381,40 @@ ProfileCache::get(sys::Platform &platform,
                   const workloads::WorkloadConfig &config,
                   const workloads::Workload::Params &wparams)
 {
-    const std::string key =
-        config.label + "/" + std::to_string(config.threads) + "/" +
-        std::to_string(wparams.footprintBytes) + "/" +
-        std::to_string(wparams.seed) + "/" +
-        std::to_string(wparams.workScale) + "/" +
-        std::to_string(platform.params().devices.masterSeed) + "/" +
-        std::to_string(platform.params().exec.timeDilation) + "/" +
-        std::to_string(platform.params().hierarchy.l1.sizeBytes) + "/" +
-        std::to_string(platform.params().hierarchy.l2.sizeBytes) + "/" +
-        std::to_string(platform.params().geometry.rowsPerBank);
+    // Every workload and platform parameter profiling reads, plus
+    // devices.masterSeed, which it does not: that stays in the key until
+    // perfbench's profile digest stops deduplicating profiles by address
+    // (ROADMAP 1b).
+    const sys::Platform::Params &pp = platform.params();
+    std::uint64_t key = fnv1a64(config.kernel + "/" + config.label + "/");
+    hashU64(key, static_cast<std::uint64_t>(config.threads));
+    hashU64(key, wparams.footprintBytes);
+    hashU64(key, wparams.seed);
+    hashDouble(key, wparams.workScale);
+    hashU64(key, pp.devices.masterSeed);
+    const sys::ExecutionContext::Params &exec = pp.exec;
+    hashDouble(key, exec.clockHz);
+    hashDouble(key, exec.memoryLevelParallelism);
+    hashU64(key, exec.branchMissPenalty);
+    hashDouble(key, exec.timeDilation);
+    const mem::MemoryHierarchy::Params &mh = pp.hierarchy;
+    hashU64(key, static_cast<std::uint64_t>(mh.cores));
+    for (const mem::Cache::Params *c : {&mh.l1, &mh.l2}) {
+        hashU64(key, c->sizeBytes);
+        hashU64(key, c->lineBytes);
+        hashU64(key, c->ways);
+        hashU64(key, c->hitLatency);
+    }
+    hashU64(key, mh.mcu.rowHitLatency);
+    hashU64(key, mh.mcu.rowMissLatency);
+    hashU64(key, mh.mcu.queuePenalty);
+    hashU64(key, mh.mcu.burstCycles);
+    const dram::Geometry::Params &geo = pp.geometry;
+    hashU64(key, static_cast<std::uint64_t>(geo.channels));
+    hashU64(key, static_cast<std::uint64_t>(geo.ranksPerDimm));
+    hashU64(key, static_cast<std::uint64_t>(geo.banksPerRank));
+    hashU64(key, geo.rowsPerBank);
+    hashU64(key, geo.wordsPerRow);
 
     // Two-phase lookup: the map mutex is held only long enough to pin
     // the entry; the (expensive) extraction happens outside it, with

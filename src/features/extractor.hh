@@ -29,8 +29,9 @@ WorkloadProfile extractProfile(sys::Platform &platform,
                                const workloads::Workload::Params &wparams);
 
 /**
- * Process-wide profile memoization keyed by (label, threads, footprint,
- * seed, workScale, platform params): campaigns and benchmark drivers
+ * Process-wide profile memoization keyed by a digest of the workload
+ * config and parameters and every platform parameter profiling reads
+ * (get() lists them): campaigns and benchmark drivers
  * re-profile the same suite many times; the profile is deterministic so
  * caching is exact.
  *
@@ -69,7 +70,8 @@ class ProfileCache
     ProfileCache() = default;
 
     std::mutex mutex_; ///< guards entries_ (the map, not the profiles)
-    std::map<std::string, std::shared_ptr<Entry>> entries_;
+    /** Keyed by a digest of every profiling input (see get()). */
+    std::map<std::uint64_t, std::shared_ptr<Entry>> entries_;
 };
 
 } // namespace dfault::features

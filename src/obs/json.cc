@@ -1,6 +1,7 @@
 #include "obs/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -49,18 +50,27 @@ jsonNumber(double value)
 {
     if (!std::isfinite(value))
         return "null";
+    // The text is the shortest %.{p}g (p <= 16, else %.17g) that parses
+    // back to @p value; checkpoints, journals and manifests depend on
+    // these exact bytes. No p below the digit count of the shortest
+    // round-trip form can round-trip, so the search starts there rather
+    // than at 1 and almost always ends on its first step.
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    // Trim to the shortest representation that round-trips.
-    for (int prec = 1; prec < 17; ++prec) {
-        char shorter[32];
-        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, value);
+    char *end = std::to_chars(buf, buf + sizeof(buf), value,
+                              std::chars_format::scientific)
+                    .ptr;
+    int prec = 0;
+    for (const char *c = buf; c != end && *c != 'e'; ++c)
+        prec += *c >= '0' && *c <= '9' ? 1 : 0;
+    for (;; ++prec) {
+        end = std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::general, prec)
+                  .ptr;
         double parsed = 0.0;
-        std::sscanf(shorter, "%lf", &parsed);
-        if (parsed == value)
-            return shorter;
+        std::from_chars(buf, end, parsed);
+        if (parsed == value || prec >= 17)
+            return std::string(buf, end);
     }
-    return buf;
 }
 
 void

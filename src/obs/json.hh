@@ -27,7 +27,10 @@ namespace dfault::obs {
 /** Escape @p raw for use inside a JSON string literal (no quotes added). */
 std::string jsonEscape(std::string_view raw);
 
-/** Format a double as JSON (finite shortest round-trip; NaN/inf -> null). */
+/**
+ * Format a double as JSON: the shortest `%.{p}g` text that parses back
+ * to @p value (`%.17g` when no p <= 16 does); NaN/inf -> null.
+ */
 std::string jsonNumber(double value);
 
 /** Builds one flat JSON object, field by field, in insertion order. */

@@ -237,6 +237,33 @@ snapshotFromDoc(const obs::JsonValue &doc, JournalSnapshot &out,
 
 } // namespace
 
+void
+EncodedResponses::extend(const std::vector<Response> &responses)
+{
+    for (std::size_t i = size(); i < responses.size(); ++i) {
+        starts_.push_back(text_.size());
+        text_ += responseJson(responses[i]);
+        text_ += ',';
+    }
+}
+
+void
+EncodedResponses::clear()
+{
+    text_.clear();
+    starts_.clear();
+}
+
+std::string
+EncodedResponses::array(std::size_t from) const
+{
+    std::string out = "[";
+    if (from < starts_.size())
+        out.append(text_, starts_[from], text_.size() - starts_[from] - 1);
+    out += ']';
+    return out;
+}
+
 std::vector<obs::StatOp>
 counterBlockOps(const CounterBlock &block)
 {
@@ -292,10 +319,18 @@ journalConfigDigest(const Params &params)
 std::string
 journalSegmentJson(const JournalSegment &seg, std::uint64_t digest)
 {
+    return journalSegmentJson(seg, digest,
+                              arrayJson(seg.responses, responseJson));
+}
+
+std::string
+journalSegmentJson(const JournalSegment &seg, std::uint64_t digest,
+                   std::string_view responses)
+{
     obs::JsonWriter w = obs::recordHeader(kSegment, seg.tick, digest);
     w.field("next_id", seg.nextId);
     w.fieldRaw("admitted", arrayJson(seg.admitted, requestJson));
-    w.fieldRaw("responses", arrayJson(seg.responses, responseJson));
+    w.fieldRaw("responses", responses);
     w.fieldRaw("breakers", arrayJson(seg.breakers, breakerJson));
     w.fieldRaw("stat_ops", obs::statOpsJson(seg.statOps));
     return w.str();
@@ -312,10 +347,18 @@ journalSegmentFromJson(const std::string &text, std::uint64_t digest,
 std::string
 journalSnapshotJson(const JournalSnapshot &snap, std::uint64_t digest)
 {
+    return journalSnapshotJson(snap, digest,
+                               arrayJson(snap.responses, responseJson));
+}
+
+std::string
+journalSnapshotJson(const JournalSnapshot &snap, std::uint64_t digest,
+                    std::string_view responses)
+{
     obs::JsonWriter w = obs::recordHeader(kSnapshot, snap.tick, digest);
     w.field("next_id", snap.nextId);
     w.fieldRaw("queued", arrayJson(snap.queued, requestJson));
-    w.fieldRaw("responses", arrayJson(snap.responses, responseJson));
+    w.fieldRaw("responses", responses);
     w.fieldRaw("breakers", arrayJson(snap.breakers, breakerJson));
     w.fieldRaw("lkg",
                arrayJson(snap.lastKnownGood,
@@ -382,19 +425,23 @@ WriteAheadJournal::writeRecord(const obs::RecordKind &kind,
 }
 
 bool
-WriteAheadJournal::writeSegment(const JournalSegment &seg)
+WriteAheadJournal::writeSegment(const JournalSegment &seg,
+                                std::string_view responses)
 {
     DFAULT_ASSERT(enabled(), "writeSegment() on a disabled journal");
-    return writeRecord(kSegment, seg.tick,
-                       journalSegmentJson(seg, store_.digest()) + "\n");
+    return writeRecord(
+        kSegment, seg.tick,
+        journalSegmentJson(seg, store_.digest(), responses) + "\n");
 }
 
 bool
-WriteAheadJournal::writeSnapshot(const JournalSnapshot &snap)
+WriteAheadJournal::writeSnapshot(const JournalSnapshot &snap,
+                                 std::string_view responses)
 {
     DFAULT_ASSERT(enabled(), "writeSnapshot() on a disabled journal");
-    if (!writeRecord(kSnapshot, snap.tick,
-                     journalSnapshotJson(snap, store_.digest()) + "\n"))
+    if (!writeRecord(
+            kSnapshot, snap.tick,
+            journalSnapshotJson(snap, store_.digest(), responses) + "\n"))
         return false;
     // Keep two snapshots (a torn newest one falls back to the
     // previous) and retire everything the older retained one

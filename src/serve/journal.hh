@@ -50,6 +50,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -148,14 +149,44 @@ std::uint64_t journalConfigDigest(const Params &params);
 
 std::string journalSegmentJson(const JournalSegment &seg,
                                std::uint64_t digest);
+/** As above, with the responses array given pre-encoded as @p responses
+ * (EncodedResponses::array); seg.responses is not read. */
+std::string journalSegmentJson(const JournalSegment &seg,
+                               std::uint64_t digest,
+                               std::string_view responses);
 bool journalSegmentFromJson(const std::string &text, std::uint64_t digest,
                             JournalSegment &out,
                             std::string *error = nullptr);
 std::string journalSnapshotJson(const JournalSnapshot &snap,
                                 std::uint64_t digest);
+/** As above, with the transcript given pre-encoded as @p responses;
+ * snap.responses is not read. */
+std::string journalSnapshotJson(const JournalSnapshot &snap,
+                                std::uint64_t digest,
+                                std::string_view responses);
 bool journalSnapshotFromJson(const std::string &text, std::uint64_t digest,
                              JournalSnapshot &out,
                              std::string *error = nullptr);
+
+/**
+ * A response transcript in its record encoding, each response encoded
+ * once: segments and snapshots splice ranges of it, so a snapshot
+ * rewrites the transcript's bytes without re-formatting its numbers.
+ */
+class EncodedResponses
+{
+  public:
+    /** Encode and append @p responses[size(), responses.size()). */
+    void extend(const std::vector<Response> &responses);
+    void clear();
+    std::size_t size() const { return starts_.size(); }
+    /** The JSON array of the encoded responses [from, size()). */
+    std::string array(std::size_t from) const;
+
+  private:
+    std::string text_;                ///< each response's JSON, then ','
+    std::vector<std::size_t> starts_; ///< where each response begins
+};
 
 /**
  * The on-disk journal. Not thread-safe; the owning service calls it
@@ -175,15 +206,17 @@ class WriteAheadJournal
     bool enabled() const { return store_.enabled(); }
 
     /**
-     * Durably append one tick record. Returns false when the write
-     * fails (or journal.write fires): nothing landed, and the caller
-     * keeps accumulating the delta into its next record.
+     * Durably append one tick record, its responses given pre-encoded
+     * as in journalSegmentJson(). Returns false when the write fails
+     * (or journal.write fires): nothing landed, and the caller keeps
+     * accumulating the delta into its next record.
      */
-    bool writeSegment(const JournalSegment &seg);
+    bool writeSegment(const JournalSegment &seg, std::string_view responses);
 
     /** As writeSegment, for a compacted snapshot; also retires records
      * at or before the previous snapshot (keeping two snapshots). */
-    bool writeSnapshot(const JournalSnapshot &snap);
+    bool writeSnapshot(const JournalSnapshot &snap,
+                       std::string_view responses);
 
     /** What load() recovered. */
     struct Restored
@@ -225,6 +258,9 @@ struct JournalState
     CounterBlock delta;  ///< since the last durable record
     CounterBlock total;  ///< lifetime, including restored history
     std::vector<JournalRequest> admitted; ///< enqueued since last record
+    /** responses_[0, encoded.size()), rebuilt at restore and cleared by
+     * takeResponses() together with responses_. */
+    EncodedResponses encoded;
     std::size_t flushedResponses = 0; ///< responses_ entries already durable
 };
 

@@ -238,6 +238,7 @@ PredictionService::restoreFromJournal()
         counterBlockAdd(journal_->total, seg.statOps);
     }
 
+    journal_->encoded.extend(responses_);
     journal_->flushedResponses = responses_.size();
     resumedFromTick_ = static_cast<std::int64_t>(restored.tick);
     for (std::size_t s = 0; s < breakers_.size(); ++s)
@@ -275,6 +276,7 @@ PredictionService::journalCommitLocked()
         return out;
     };
 
+    journal_->encoded.extend(responses_);
     bool ok;
     if (snapshotTick) {
         JournalSnapshot snap;
@@ -291,25 +293,21 @@ PredictionService::journalCommitLocked()
                 jr.features = p.features;
                 snap.queued.push_back(std::move(jr));
             }
-        snap.responses = responses_;
         snap.breakers = captureBreakers();
         snap.lastKnownGood.assign(lastKnownGood_.begin(),
                                   lastKnownGood_.end());
         std::sort(snap.lastKnownGood.begin(), snap.lastKnownGood.end());
         snap.statOps = counterBlockOps(journal_->total);
-        ok = journal_->wal.writeSnapshot(snap);
+        ok = journal_->wal.writeSnapshot(snap, journal_->encoded.array(0));
     } else {
         JournalSegment seg;
         seg.tick = tick_;
         seg.nextId = nextId_;
         seg.admitted = journal_->admitted;
-        seg.responses.assign(responses_.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     journal_->flushedResponses),
-                             responses_.end());
         seg.breakers = captureBreakers();
         seg.statOps = counterBlockOps(journal_->delta);
-        ok = journal_->wal.writeSegment(seg);
+        ok = journal_->wal.writeSegment(
+            seg, journal_->encoded.array(journal_->flushedResponses));
     }
     if (ok) {
         journal_->admitted.clear();
@@ -777,6 +775,7 @@ PredictionService::takeResponses()
             DFAULT_WARN("serve: takeResponses() mid-run on a journaled "
                         "service; the next snapshot's transcript only "
                         "covers responses still held");
+        journal_->encoded.clear();
         journal_->flushedResponses = 0;
     }
     std::vector<Response> out = std::move(responses_);

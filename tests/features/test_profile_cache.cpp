@@ -1,8 +1,9 @@
 /**
  * @file
  * ProfileCache under concurrent access from pool workers: one
- * extraction per key regardless of how many workers race for it, and
- * entry pointers that stay valid as the cache grows.
+ * extraction per key regardless of how many workers race for it, entry
+ * pointers that stay valid as the cache grows, and a key that tells
+ * apart platforms differing in any one profiling input.
  */
 
 #include <gtest/gtest.h>
@@ -78,6 +79,39 @@ TEST(ProfileCache, EntryPointersSurviveLaterInsertions)
         &ProfileCache::instance().get(platform, first, smallParams());
     EXPECT_EQ(again, pinned);
     EXPECT_EQ(pinned->threads, 8);
+}
+
+TEST(ProfileCache, KeyCoversCacheWaysAndCoreCount)
+{
+    ProfileCache::instance().clear();
+    const workloads::WorkloadConfig config{"srad", 8, "srad(par)"};
+    const auto profileOn = [&](const sys::Platform::Params &params) {
+        sys::Platform platform(params);
+        return &ProfileCache::instance().get(platform, config,
+                                             smallParams());
+    };
+
+    const sys::Platform::Params base;
+    const WorkloadProfile *baseline = profileOn(base);
+    EXPECT_EQ(profileOn(base), baseline);
+
+    // Only the L2 associativity differs: a profile of its own, with
+    // the L2 behaviour that associativity produces.
+    sys::Platform::Params ways = base;
+    ways.hierarchy.l2.ways = 2;
+    const WorkloadProfile *lowWays = profileOn(ways);
+    EXPECT_NE(lowWays, baseline);
+    EXPECT_NE(lowWays->features.get("l2_miss_ratio"),
+              baseline->features.get("l2_miss_ratio"));
+
+    // Only the core count differs: eight threads now share two L1s, so
+    // core 2's L1 sees no accesses.
+    sys::Platform::Params cores = base;
+    cores.hierarchy.cores = 2;
+    const WorkloadProfile *fewCores = profileOn(cores);
+    EXPECT_NE(fewCores, baseline);
+    EXPECT_GT(baseline->features.get("core2_l1_accesses_per_kc"), 0.0);
+    EXPECT_EQ(fewCores->features.get("core2_l1_accesses_per_kc"), 0.0);
 }
 
 } // namespace

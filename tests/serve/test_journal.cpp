@@ -648,6 +648,95 @@ TEST_F(JournalTest, CompactionRetainsTwoSnapshotsAndTrailingSegments)
 }
 
 /**
+ * Every retained record must equal, byte for byte, what the reference
+ * encoder makes of its parsed content, although the service writes
+ * them from its once-per-response encoding. The run passes through a
+ * failed snapshot write, a mid-run takeResponses() and a mid-run
+ * restore. Returns the number of records checked.
+ */
+int
+expectRecordsMatchReferenceEncoder(const std::string &dir,
+                                   std::uint64_t digest)
+{
+    int checked = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        const bool snap = name.starts_with("snap-");
+        if (!name.ends_with(".json") || (!snap && !name.starts_with("seg-")))
+            continue;
+        const auto text = fi::readFile(entry.path().string());
+        if (!text) {
+            ADD_FAILURE() << "cannot read " << name;
+            continue;
+        }
+        std::string again;
+        std::string error;
+        if (snap) {
+            JournalSnapshot record;
+            EXPECT_TRUE(journalSnapshotFromJson(*text, digest, record, &error))
+                << name << ": " << error;
+            again = journalSnapshotJson(record, digest);
+        } else {
+            JournalSegment record;
+            EXPECT_TRUE(journalSegmentFromJson(*text, digest, record, &error))
+                << name << ": " << error;
+            again = journalSegmentJson(record, digest);
+        }
+        EXPECT_EQ(again + "\n", *text) << name;
+        ++checked;
+    }
+    return checked;
+}
+
+TEST_F(JournalTest, RecordsMatchTheReferenceEncoderByteForByte)
+{
+    std::string heldAtCrash;
+    std::uint64_t digest = 0;
+    {
+        obs::Registry crashed;
+        Params p = baseParams(&crashed);
+        p.journalDir = dir;
+        p.snapshotEveryTicks = 3;
+        digest = journalConfigDigest(p);
+        PredictionService svc(primary, p, &fallback);
+        fi::Injector::instance().arm("journal.write:every=6,count=1");
+        runRounds(svc, 0, 5);
+        EXPECT_EQ(expectRecordsMatchReferenceEncoder(dir, digest), 5);
+        // Tick 6's snapshot fails; tick 7's segment carries its delta.
+        runRounds(svc, 5, 7);
+        fi::Injector::instance().disarm();
+        EXPECT_FALSE(std::filesystem::exists(dir + "/snap-00000006.json"));
+        EXPECT_GT(expectRecordsMatchReferenceEncoder(dir, digest), 0);
+        // Later snapshots only carry what the caller has not taken.
+        EXPECT_FALSE(svc.takeResponses().empty());
+        runRounds(svc, 7, 10);
+        EXPECT_GT(expectRecordsMatchReferenceEncoder(dir, digest), 0);
+        heldAtCrash = transcriptOf(svc.takeResponses());
+    }
+
+    // Restore from snap-9 plus seg-10, then write through tick 12.
+    obs::Registry reg;
+    Params p = baseParams(&reg);
+    p.journalDir = dir;
+    p.snapshotEveryTicks = 3;
+    PredictionService svc(primary, p, &fallback);
+    ASSERT_EQ(svc.resumedFromTick(), 10);
+    runRounds(svc, 10, kRounds);
+    EXPECT_GT(expectRecordsMatchReferenceEncoder(dir, digest), 0);
+
+    // The final snapshot's transcript is exactly what the service
+    // holds, and that starts with what the crashed one held.
+    const auto text = fi::readFile(dir + "/snap-00000012.json");
+    ASSERT_TRUE(text.has_value());
+    JournalSnapshot last;
+    ASSERT_TRUE(journalSnapshotFromJson(*text, digest, last));
+    const std::string held = transcriptOf(svc.takeResponses());
+    EXPECT_EQ(transcriptOf(last.responses), held);
+    EXPECT_TRUE(held.starts_with(heldAtCrash));
+    EXPECT_GT(held.size(), heldAtCrash.size());
+}
+
+/**
  * Graceful-interrupt coverage (the SIGTERM drain path): a cancelled
  * service sheds every queued request, the conservation law holds over
  * its counters, and the final state is durable — a restore lands on
