@@ -40,16 +40,15 @@ struct Observables
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+regenerate(core::RunSession &session)
 {
-    bench::Harness harness(argc, argv);
     bench::banner("Ablation",
                   "disable one mechanism, observe which paper claim "
                   "breaks (TREFP=2.283s, 60C)");
 
     core::ErrorIntegrator::Params base =
-        harness.campaign().params().integrator;
+        session.campaign().params().integrator;
 
     std::vector<Ablation> ablations;
     ablations.push_back({"full model", "-", base});
@@ -91,8 +90,8 @@ main(int argc, char **argv)
         {"srad", 8, "srad(par)"},
         {"random", 8, "random"},
     };
-    auto &platform = harness.platform();
-    const auto &wparams = harness.campaign().params().workload;
+    auto &platform = session.platform();
+    const auto &wparams = session.campaign().params().workload;
 
     std::printf("%-22s %10s %9s %10s %9s %9s  %s\n", "configuration",
                 "bp/random", "spread", "memc/max", "tail%", "runvar%",
@@ -176,4 +175,10 @@ main(int argc, char **argv)
         "the data-pattern term shifts per-device rates only\n"
         "(its coupling is visible in fig10's HDP correlation).\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return core::RunSession(argc, argv).run(regenerate);
 }

@@ -25,12 +25,11 @@
 
 using namespace dfault;
 
-int
-main(int argc, char **argv)
+static int
+regenerate(core::RunSession &session)
 {
-    bench::Harness harness(argc, argv);
 
-    const auto measurements = harness.campaign().sweep(
+    const auto measurements = session.campaign().sweep(
         workloads::standardSuite(), core::werOperatingPoints());
     // Device 0's WER dataset on input set 1, log-space targets.
     auto data = core::makeWerDataset(measurements, 0,
@@ -85,4 +84,10 @@ main(int argc, char **argv)
                     results[i].label.c_str(), results[i].meanRmse,
                     i == best ? "   <= selected" : "");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return core::RunSession(argc, argv).run(regenerate);
 }

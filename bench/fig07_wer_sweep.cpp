@@ -16,10 +16,9 @@
 
 using namespace dfault;
 
-int
-main(int argc, char **argv)
+static int
+regenerate(core::RunSession &session)
 {
-    bench::Harness harness(argc, argv);
     const auto suite = workloads::standardSuite();
 
     const Seconds trefps[] = {0.618, 1.173, 1.727, 2.283};
@@ -35,7 +34,7 @@ main(int argc, char **argv)
 
     // One pooled sweep over the whole workload x operating-point grid
     // (bit-identical to measuring each cell serially).
-    const auto measurements = harness.campaign().sweep(suite, points);
+    const auto measurements = session.campaign().sweep(suite, points);
 
     std::map<std::string, std::map<std::string, core::Measurement>>
         table;
@@ -134,4 +133,10 @@ main(int argc, char **argv)
         std::printf("\n");
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return core::RunSession(argc, argv).run(regenerate);
 }

@@ -16,17 +16,16 @@
 
 using namespace dfault;
 
-int
-main(int argc, char **argv)
+static int
+regenerate(core::RunSession &session)
 {
-    bench::Harness harness(argc, argv);
 
     // WER dataset: the TREFP x temperature grid that stays UE-free
     // (paper §VI-A), pooled across the 14 benchmarks; per-device
     // targets averaged into the aggregate WER as in the paper.
     const auto suite = workloads::standardSuite();
     const auto measurements =
-        harness.campaign().sweep(suite, core::werOperatingPoints());
+        session.campaign().sweep(suite, core::werOperatingPoints());
 
     ml::Dataset wer_data(
         features::FeatureCatalog::instance().names());
@@ -38,16 +37,16 @@ main(int argc, char **argv)
     }
 
     // PUE dataset: 70 C, the three UE-prone TREFP levels.
-    const int repeats = harness.repeats();
+    const int repeats = session.repeats();
     ml::Dataset pue_data(
         features::FeatureCatalog::instance().names());
     for (const auto &config : suite) {
         for (const auto &op : core::pueOperatingPoints()) {
             const double pue =
-                harness.campaign().measurePue(config, op, repeats);
+                session.campaign().measurePue(config, op, repeats);
             const auto &profile = features::ProfileCache::instance().get(
-                harness.platform(), config,
-                harness.campaign().params().workload);
+                session.platform(), config,
+                session.campaign().params().workload);
             pue_data.addSample(profile.features.values(), pue,
                                config.label);
         }
@@ -98,4 +97,10 @@ main(int argc, char **argv)
                 "rs < -0.2, %d weak (|rs| <= 0.2) of %zu\n",
                 positive, negative, weak, wer_cors.size());
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return core::RunSession(argc, argv).run(regenerate);
 }

@@ -19,10 +19,9 @@
 
 using namespace dfault;
 
-int
-main(int argc, char **argv)
+static int
+regenerate(core::RunSession &session)
 {
-    bench::Harness harness(argc, argv);
 
     bench::banner("Table III", "model input feature sets");
     for (const core::InputSet set : core::kAllInputSets) {
@@ -40,8 +39,8 @@ main(int argc, char **argv)
 
     const auto suite = workloads::standardSuite();
     const auto measurements =
-        harness.campaign().sweep(suite, core::werOperatingPoints());
-    const int devices = harness.platform().geometry().deviceCount();
+        session.campaign().sweep(suite, core::werOperatingPoints());
+    const int devices = session.platform().geometry().deviceCount();
 
     // evaluation[model][set][device]
     std::map<core::ModelKind,
@@ -59,7 +58,7 @@ main(int argc, char **argv)
         }
     }
 
-    const auto &geometry = harness.platform().geometry();
+    const auto &geometry = session.platform().geometry();
     for (const core::ModelKind kind : core::kAllModelKinds) {
         bench::banner("Fig 11a-c (" + core::modelKindName(kind) + ")",
                       "MPE of WER estimates per DIMM/rank, %");
@@ -142,4 +141,10 @@ main(int argc, char **argv)
                     ci.mean, ci.lo, ci.hi);
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return core::RunSession(argc, argv).run(regenerate);
 }

@@ -16,19 +16,18 @@
 
 using namespace dfault;
 
-int
-main(int argc, char **argv)
+static int
+regenerate(core::RunSession &session)
 {
-    bench::Harness harness(argc, argv);
     bench::banner("Micro vs reality (paper §II-C)",
                   "retention profile from the random micro-benchmark "
                   "vs real apps' error rows");
 
-    core::RetentionProfiler profiler(harness.campaign());
+    core::RetentionProfiler profiler(session.campaign());
     const Seconds eval_trefp = 2.283;
 
     // Profile the two extreme devices (weakest and strongest).
-    const auto &devices = harness.platform().devices();
+    const auto &devices = session.platform().devices();
     int weakest = 0, strongest = 0;
     for (int d = 0; d < static_cast<int>(devices.size()); ++d) {
         if (devices[d].retentionScale() <
@@ -40,7 +39,7 @@ main(int argc, char **argv)
     }
 
     for (const int device : {weakest, strongest}) {
-        const auto id = harness.platform().geometry().deviceAt(device);
+        const auto id = session.platform().geometry().deviceAt(device);
         std::printf("\ndevice %s (retention scale %.2f):\n",
                     id.label().c_str(),
                     devices[device].retentionScale());
@@ -54,7 +53,7 @@ main(int argc, char **argv)
         std::printf("  %-14s %10s %12s %12s %12s %12s\n", "workload",
                     "err rows", "missed", "miss%", "flagged-ok",
                     "false-alarm%");
-        for (const workloads::WorkloadConfig config :
+        for (const workloads::WorkloadConfig &config :
              {workloads::WorkloadConfig{"backprop", 8,
                                         "backprop(par)"},
               workloads::WorkloadConfig{"srad", 8, "srad(par)"},
@@ -84,4 +83,10 @@ main(int argc, char **argv)
         "large 'false-alarm%%' means the schedule wastes\nrefresh "
         "energy on rows the app implicitly refreshes itself.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return core::RunSession(argc, argv).run(regenerate);
 }
