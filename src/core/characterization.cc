@@ -14,7 +14,6 @@
 #include "obs/events.hh"
 #include "obs/span.hh"
 #include "obs/stats.hh"
-#include "obs/timer.hh"
 #include "par/pool.hh"
 
 namespace dfault::core {

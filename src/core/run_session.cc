@@ -15,7 +15,6 @@
 #include "obs/sampler.hh"
 #include "obs/span.hh"
 #include "obs/stats.hh"
-#include "obs/timer.hh"
 #include "obs/trace_writer.hh"
 #include "par/cancel.hh"
 #include "par/pool.hh"

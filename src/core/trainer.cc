@@ -8,7 +8,6 @@
 #include "obs/events.hh"
 #include "obs/span.hh"
 #include "obs/stats.hh"
-#include "obs/timer.hh"
 #include "par/pool.hh"
 #include "ml/forest.hh"
 #include "ml/knn.hh"

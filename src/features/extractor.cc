@@ -6,8 +6,8 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "obs/events.hh"
+#include "obs/span.hh"
 #include "obs/stats.hh"
-#include "obs/timer.hh"
 #include "stats/summary.hh"
 #include "trace/entropy_sampler.hh"
 #include "trace/reuse_tracker.hh"

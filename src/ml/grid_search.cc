@@ -7,7 +7,6 @@
 #include "ml/metrics.hh"
 #include "ml/scaler.hh"
 #include "obs/span.hh"
-#include "obs/timer.hh"
 #include "par/pool.hh"
 
 namespace dfault::ml {

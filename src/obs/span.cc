@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "obs/stats.hh"
 
 namespace dfault::obs {
 
@@ -22,15 +21,18 @@ SpanTracer::enable(std::size_t ring_capacity)
 {
     DFAULT_ASSERT(ring_capacity > 0, "span ring capacity must be > 0");
     std::lock_guard<std::mutex> lock(mutex_);
-    // Discard prior state: rings re-register lazily at their next
-    // record under the fresh epoch and capacity.
+    // Discard prior entries and the spans of still-open scopes: ids
+    // restart at 1, so an old id must not parent a new span. The
+    // scopes' paths stay, since live timers still publish under them.
     for (const auto &ring : rings_) {
         std::lock_guard<std::mutex> ring_lock(ring->mutex);
         ring->ring.clear();
         ring->next = 0;
         ring->dropped = 0;
-        ring->open.clear();
-        ring->adoptedParent = 0;
+        for (Frame &frame : ring->frames) {
+            frame.span = 0;
+            frame.parent = 0;
+        }
     }
     capacity_.store(ring_capacity, std::memory_order_relaxed);
     epoch_ = std::chrono::steady_clock::now();
@@ -62,16 +64,18 @@ SpanTracer::nowNs() const
 }
 
 SpanTracer::ThreadRing &
-SpanTracer::localRing()
+SpanTracer::localRing(bool record)
 {
-    if (!t_ring_) {
-        auto ring = std::make_shared<ThreadRing>();
+    if (!t_ring_)
+        t_ring_ = std::make_shared<ThreadRing>();
+    ThreadRing &ring = *t_ring_;
+    if (record && !ring.registered) {
         std::lock_guard<std::mutex> lock(mutex_);
-        ring->tid = static_cast<std::uint32_t>(rings_.size());
-        rings_.push_back(ring);
-        t_ring_ = std::move(ring);
+        ring.tid = static_cast<std::uint32_t>(rings_.size());
+        rings_.push_back(t_ring_);
+        ring.registered = true;
     }
-    return *t_ring_;
+    return ring;
 }
 
 void
@@ -91,54 +95,88 @@ SpanTracer::push(ThreadRing &ring, TraceEntry entry)
     ++ring.dropped;
 }
 
-std::uint64_t
-SpanTracer::beginSpan(std::string_view name, std::string_view path)
+TraceEntry
+SpanTracer::spanEntry(std::uint32_t tid, const Frame &frame,
+                      std::uint64_t end_ns)
 {
-    if (!enabled())
-        return 0;
-    ThreadRing &ring = localRing();
-    OpenSpan span;
-    span.id = newId();
-    span.parent = ring.open.empty() ? ring.adoptedParent
-                                    : ring.open.back().id;
-    span.startNs = nowNs();
-    span.name = name;
-    span.path = path;
-    const std::uint64_t id = span.id;
-    {
-        std::lock_guard<std::mutex> lock(ring.mutex);
-        ring.open.push_back(std::move(span));
-    }
-    return id;
-}
-
-void
-SpanTracer::endSpan(std::uint64_t id)
-{
-    if (id == 0)
-        return;
-    ThreadRing &ring = localRing();
-    OpenSpan span;
-    {
-        std::lock_guard<std::mutex> lock(ring.mutex);
-        DFAULT_ASSERT(!ring.open.empty() && ring.open.back().id == id,
-                      "span end does not match the innermost open span");
-        span = std::move(ring.open.back());
-        ring.open.pop_back();
-    }
-    if (span.exported)
-        return; // drain() already finalized this span
     TraceEntry entry;
     entry.kind = TraceKind::Span;
-    entry.tid = ring.tid;
-    entry.id = span.id;
-    entry.parent = span.parent;
-    entry.startNs = span.startNs;
-    entry.endNs = nowNs();
-    entry.name = std::move(span.name);
-    entry.path = std::move(span.path);
-    entry.detail = std::move(span.detail);
-    push(ring, std::move(entry));
+    entry.tid = tid;
+    entry.id = frame.span;
+    entry.parent = frame.parent;
+    entry.startNs = frame.startNs;
+    entry.endNs = end_ns;
+    // A timer's span is named after its own path segment; a task's is
+    // "task", with "task" as its path too at top level.
+    entry.name = frame.task ? "task"
+                            : frame.path.substr(frame.path.rfind('.') + 1);
+    entry.path = frame.path.empty() ? entry.name : frame.path;
+    entry.detail = frame.detail;
+    return entry;
+}
+
+std::size_t
+SpanTracer::openFrame(std::string_view phase, const Scope *adopted)
+{
+    const bool tracing = enabled();
+    ThreadRing &ring = localRing(tracing);
+    std::lock_guard<std::mutex> lock(ring.mutex);
+    // Build the frame completely before pushing it: if an allocation
+    // throws, the stack is exactly as it was.
+    Frame frame;
+    if (adopted != nullptr) {
+        frame.path = adopted->path;
+        frame.parent = adopted->span;
+        frame.task = true;
+    } else {
+        if (!ring.frames.empty()) {
+            const Frame &outer = ring.frames.back();
+            if (!outer.path.empty())
+                frame.path = outer.path + '.';
+            frame.parent = outer.span;
+        }
+        frame.path += phase;
+    }
+    if (tracing) {
+        frame.span = newId();
+        frame.startNs = nowNs();
+    } else {
+        // Untraced frames carry no span ids: enable() resets ids only
+        // on registered rings, and this one may not be.
+        frame.parent = 0;
+    }
+    ring.frames.push_back(std::move(frame));
+    return ring.frames.size();
+}
+
+std::string
+SpanTracer::closeFrame(std::size_t depth)
+{
+    ThreadRing &ring = *t_ring_;
+    Frame frame;
+    {
+        std::lock_guard<std::mutex> lock(ring.mutex);
+        DFAULT_ASSERT(ring.frames.size() == depth,
+                      "scope stack corrupted: scopes must strictly nest");
+        frame = std::move(ring.frames.back());
+        ring.frames.pop_back();
+    }
+    // exported: drain() already finalized this span.
+    if (frame.span != 0 && !frame.exported)
+        push(ring, spanEntry(ring.tid, frame, nowNs()));
+    return std::move(frame.path);
+}
+
+Scope
+currentScope()
+{
+    const auto &ring = SpanTracer::t_ring_;
+    if (!ring)
+        return {};
+    std::lock_guard<std::mutex> lock(ring->mutex);
+    if (ring->frames.empty())
+        return {};
+    return {ring->frames.back().path, ring->frames.back().span};
 }
 
 void
@@ -147,8 +185,8 @@ SpanTracer::annotateCurrent(std::string_view detail)
     if (!enabled() || !t_ring_)
         return;
     std::lock_guard<std::mutex> lock(t_ring_->mutex);
-    if (!t_ring_->open.empty())
-        t_ring_->open.back().detail = detail;
+    if (!t_ring_->frames.empty() && t_ring_->frames.back().span != 0)
+        t_ring_->frames.back().detail = detail;
 }
 
 void
@@ -190,16 +228,6 @@ SpanTracer::sampleCounters(const Registry &registry)
     }
 }
 
-std::uint64_t
-SpanTracer::currentSpan()
-{
-    if (!t_ring_)
-        return 0;
-    std::lock_guard<std::mutex> lock(t_ring_->mutex);
-    return t_ring_->open.empty() ? t_ring_->adoptedParent
-                                : t_ring_->open.back().id;
-}
-
 std::vector<TraceEntry>
 SpanTracer::drain()
 {
@@ -223,21 +251,11 @@ SpanTracer::drain()
         // Finalize half-open spans at the drain timestamp; mark them
         // exported so the eventual real end is dropped, not recorded
         // as a duplicate.
-        for (OpenSpan &span : ring->open) {
-            if (span.exported)
+        for (Frame &frame : ring->frames) {
+            if (frame.span == 0 || frame.exported)
                 continue;
-            span.exported = true;
-            TraceEntry entry;
-            entry.kind = TraceKind::Span;
-            entry.tid = ring->tid;
-            entry.id = span.id;
-            entry.parent = span.parent;
-            entry.startNs = span.startNs;
-            entry.endNs = now;
-            entry.name = span.name;
-            entry.path = span.path;
-            entry.detail = span.detail;
-            out.push_back(std::move(entry));
+            frame.exported = true;
+            out.push_back(spanEntry(ring->tid, frame, now));
         }
     }
     std::stable_sort(out.begin(), out.end(),
@@ -273,35 +291,108 @@ SpanTracer::spanCount() const
     return total;
 }
 
-ScopedSpan::ScopedSpan(std::string_view name, std::string_view path)
-    : id_(SpanTracer::instance().beginSpan(
-          name, path.empty() ? name : path))
+ScopedTimer::ScopedTimer(std::string_view phase, Registry *registry)
+    : registry_(registry != nullptr ? *registry : Registry::instance()),
+      start_(std::chrono::steady_clock::now())
+{
+    DFAULT_ASSERT(!phase.empty(), "timer phase name must be non-empty");
+    DFAULT_ASSERT(phase.find('.') == std::string_view::npos,
+                  "timer phase must be a single path segment: ", phase);
+    depth_ = SpanTracer::instance().openFrame(phase, nullptr);
+    if (AllocTracker::enabled()) {
+        allocActive_ = true;
+        allocStart_ = AllocTracker::threadTotals();
+    }
+    // Sample counters last so the phase's delta excludes this timer's
+    // own setup.
+    if (PerfCounters::phaseProfiling()) {
+        perfActive_ = true;
+        perfStart_ = PerfCounters::threadInstance().sample();
+    }
+}
+
+ScopedTimer::~ScopedTimer()
+{
+    const double seconds = elapsed();
+    // Counter end-sample first: everything below is timer teardown,
+    // not phase work.
+    PerfSample perfEnd;
+    if (perfActive_)
+        perfEnd = PerfCounters::threadInstance().sample();
+    auto &tracer = SpanTracer::instance();
+    const std::string path = tracer.closeFrame(depth_);
+    registry_.gauge("time." + path + ".seconds",
+                    "wall-clock seconds inside phase " + path)
+        .add(seconds);
+    registry_.counter("time." + path + ".calls",
+                      "entries into phase " + path)
+        .inc();
+    if (perfActive_)
+        publishPerfDelta(registry_, "perf.phase." + path,
+                         perfEnd.deltaSince(perfStart_));
+    if (allocActive_) {
+        const AllocTracker::Totals end = AllocTracker::threadTotals();
+        registry_
+            .gauge("alloc.phase." + path + ".bytes",
+                   "heap bytes allocated inside phase " + path)
+            .add(static_cast<double>(end.bytes - allocStart_.bytes));
+        registry_
+            .counter("alloc.phase." + path + ".allocs",
+                     "heap allocations inside phase " + path)
+            .inc(end.allocs - allocStart_.allocs);
+    }
+    // A top-level phase boundary: snapshot the counters this run has
+    // accumulated so the trace gets a counter-track data point.
+    if (path.find('.') == std::string::npos && tracer.enabled())
+        tracer.sampleCounters(registry_);
+}
+
+double
+ScopedTimer::elapsed() const
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start_)
+        .count();
+}
+
+ScopedTask::ScopedTask(const Scope &scope)
+    : depth_(SpanTracer::instance().openFrame({}, &scope))
 {
 }
 
-ScopedSpan::~ScopedSpan()
+ScopedTask::~ScopedTask()
 {
-    SpanTracer::instance().endSpan(id_);
+    SpanTracer::instance().closeFrame(depth_);
 }
 
-SpanAdoption::SpanAdoption(std::uint64_t parent_span)
+std::vector<PhaseTime>
+phaseTimes(const Registry *registry)
 {
-    if (!SpanTracer::instance().enabled())
-        return;
-    auto &ring = SpanTracer::instance().localRing();
-    std::lock_guard<std::mutex> lock(ring.mutex);
-    saved_ = ring.adoptedParent;
-    ring.adoptedParent = parent_span;
-    active_ = true;
-}
-
-SpanAdoption::~SpanAdoption()
-{
-    if (!active_)
-        return;
-    auto &ring = SpanTracer::instance().localRing();
-    std::lock_guard<std::mutex> lock(ring.mutex);
-    ring.adoptedParent = saved_;
+    const Registry &reg =
+        registry != nullptr ? *registry : Registry::instance();
+    constexpr std::string_view prefix = "time.";
+    constexpr std::string_view suffix = ".seconds";
+    std::vector<PhaseTime> out;
+    for (const std::string &name : reg.names()) {
+        if (!name.starts_with(prefix) || !name.ends_with(suffix))
+            continue;
+        PhaseTime pt;
+        pt.path = name.substr(prefix.size(), name.size() - prefix.size() -
+                                                 suffix.size());
+        pt.seconds = reg.value(name);
+        const std::string calls = std::string(prefix) + pt.path + ".calls";
+        pt.calls = reg.has(calls)
+                       ? static_cast<std::uint64_t>(reg.value(calls))
+                       : 0;
+        out.push_back(std::move(pt));
+    }
+    // Registry order sorts "<p>.seconds" after "<p>.<child>.seconds";
+    // sorting by path puts parents before their children.
+    std::sort(out.begin(), out.end(),
+              [](const PhaseTime &a, const PhaseTime &b) {
+                  return a.path < b.path;
+              });
+    return out;
 }
 
 } // namespace dfault::obs

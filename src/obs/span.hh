@@ -1,28 +1,53 @@
 /**
  * @file
- * Low-overhead span tracing with per-thread bounded ring buffers.
+ * Phases and spans: one per-thread scope stack under scoped timers,
+ * pool task dispatch and the span tracer.
  *
- * A span is one timed interval on one thread: begin/end timestamps
- * (nanoseconds since the tracer was enabled), the thread that ran it,
- * and the span that encloses it. ScopedTimer opens a span for every
- * phase automatically when tracing is enabled, and par::Pool opens one
- * "task" span per executed task, parented to the submitting thread's
- * span via SpanAdoption (the span analogue of PhaseAdoption). Pool
- * task dispatch additionally records flow events linking the moment a
- * task was queued on the submitter to the moment a worker picked it
- * up, so the Perfetto view shows arrows from submission to execution.
+ * Every thread keeps a stack of scope frames. A frame holds the dotted
+ * phase path of its scope ("cross_validate.fold.train") and, when the
+ * span tracer is enabled, the id of the span it opened (0 otherwise).
+ * Two kinds of frame push onto it:
  *
- * Recording is wait-free with respect to other threads: each thread
- * owns a bounded ring (default 64 Ki entries) guarded by a mutex that
- * is only ever contended by drain(), which runs once at export time.
- * When a ring is full the *oldest* entries are overwritten, so a trace
- * always keeps the newest spans and reports how many were dropped.
+ * - A ScopedTimer frame extends the enclosing path by one segment and
+ *   accumulates, when it closes, into the stats registry:
  *
- * At drain time any span still open (a timer alive during export, or
- * a region that threw past a manual begin) is finalized with the drain
- * timestamp instead of being leaked; its later real end is discarded.
+ *     time.<path>.seconds   (Gauge)    total wall-clock inside the phase
+ *     time.<path>.calls     (Counter)  times the phase was entered
  *
- * A disabled tracer costs one relaxed atomic load per would-be span.
+ *   Nested phases therefore report *inclusive* time: the parent's
+ *   seconds contain the children's. Timing uses the steady clock; one
+ *   timer costs two clock reads, an uncontended lock per push and pop
+ *   and two relaxed atomic updates, negligible at the phase
+ *   granularity used here (per measurement / per fold, never per
+ *   access). Two opt-in attributions ride on the same bracket: with
+ *   PerfCounters::setPhaseProfiling(true) the timer accumulates the
+ *   calling thread's hardware-counter delta under perf.phase.<path>.*
+ *   (obs/perf_counters.hh), and with AllocTracker::enable() its heap
+ *   allocation volume under alloc.phase.<path>.bytes/.allocs
+ *   (obs/alloc_tracker.hh). Both are inclusive like the timings, and
+ *   both stat families are excluded from manifest digests.
+ *
+ * - A ScopedTask frame runs code under a Scope captured on another
+ *   thread: it keeps the captured path (so timers inside parallel work
+ *   accumulate under the same dotted paths as a serial execution) and
+ *   opens a "task" span parented to the captured span. par::Pool wraps
+ *   every executed task in one; a Scope {path, span} is all a batch
+ *   carries across dispatch.
+ *
+ * Spans. A span is one timed interval on one thread: begin/end
+ * timestamps (nanoseconds since the tracer was enabled), the thread
+ * that ran it, and the span that encloses it. Pool dispatch
+ * additionally records flow events linking the moment a task was
+ * queued on the submitter to the moment a worker picked it up, and the
+ * end of a top-level phase samples the registry's counters into
+ * counter tracks. Recording is wait-free with respect to other
+ * threads: each thread owns a bounded ring (default 64 Ki entries)
+ * guarded by a mutex that is only ever contended by drain() and
+ * enable(). When a ring is full the *oldest* entries are overwritten,
+ * so a trace always keeps the newest spans and reports how many were
+ * dropped. At drain time any span still open (a timer alive during
+ * export) is finalized with the drain timestamp; its later real end is
+ * discarded. A disabled tracer costs one relaxed atomic load per frame.
  * See trace_writer.hh for the Chrome trace-event JSON exporter and the
  * exclusive-time attribution built on the drained entries.
  */
@@ -39,9 +64,11 @@
 #include <string_view>
 #include <vector>
 
-namespace dfault::obs {
+#include "obs/alloc_tracker.hh"
+#include "obs/perf_counters.hh"
+#include "obs/stats.hh"
 
-class Registry;
+namespace dfault::obs {
 
 /** What one ring-buffer record describes. */
 enum class TraceKind : std::uint8_t
@@ -67,6 +94,16 @@ struct TraceEntry
     double value = 0.0;        ///< counter samples only
 };
 
+/** Where a thread is: what a pool batch carries across dispatch. */
+struct Scope
+{
+    std::string path;       ///< dotted phase path ("" at top level)
+    std::uint64_t span = 0; ///< innermost open span (0 = none)
+};
+
+/** The calling thread's innermost scope. */
+Scope currentScope();
+
 /** See file comment. */
 class SpanTracer
 {
@@ -83,7 +120,9 @@ class SpanTracer
     /**
      * Start recording. @p ring_capacity bounds the entries kept *per
      * thread*; older entries are overwritten once a ring fills.
-     * Re-enabling resets the epoch and discards prior entries.
+     * Re-enabling resets the epoch and span ids and discards prior
+     * entries; scopes still open keep their paths but lose their
+     * spans.
      */
     void enable(std::size_t ring_capacity = kDefaultRingCapacity);
 
@@ -98,16 +137,6 @@ class SpanTracer
 
     /** Fresh process-unique id for a span or flow arrow. */
     std::uint64_t newId();
-
-    /**
-     * Open a span named @p name (dotted @p path for reports) under the
-     * calling thread's current span. Returns the span id, 0 when
-     * disabled.
-     */
-    std::uint64_t beginSpan(std::string_view name, std::string_view path);
-
-    /** Close span @p id (0 is ignored). Must nest per thread. */
-    void endSpan(std::uint64_t id);
 
     /**
      * Attach a free-form annotation to the calling thread's innermost
@@ -129,12 +158,6 @@ class SpanTracer
     void sampleCounters(const Registry &registry);
 
     /**
-     * Innermost open span id of the calling thread (the adopted parent
-     * if none is open locally, 0 outside any span).
-     */
-    static std::uint64_t currentSpan();
-
-    /**
      * Copy out every recorded entry, oldest first per thread, merged
      * and sorted by startNs. Spans still open are finalized at the
      * drain timestamp (their later real end is discarded, not
@@ -152,33 +175,54 @@ class SpanTracer
     std::uint64_t nowNs() const;
 
   private:
-    friend class SpanAdoption;
+    friend class ScopedTimer;
+    friend class ScopedTask;
+    friend Scope currentScope();
 
-    struct OpenSpan
+    /** One entry of a thread's scope stack. */
+    struct Frame
     {
-        std::uint64_t id = 0;
-        std::uint64_t parent = 0;
+        std::string path;         ///< dotted phase path of the scope
+        std::uint64_t span = 0;   ///< open span id, 0 when none
+        std::uint64_t parent = 0; ///< enclosing span id
         std::uint64_t startNs = 0;
-        std::string name;
-        std::string path;
         std::string detail;
+        bool task = false;     ///< pool task frame: span named "task"
         bool exported = false; ///< finalized by drain(); drop real end
     };
 
-    /** Per-thread state; shared_ptr keeps it alive past thread exit. */
+    /**
+     * Per-thread state; shared_ptr keeps it alive past thread exit. A
+     * thread registers (and gets its trace tid) at its first record.
+     */
     struct ThreadRing
     {
         std::mutex mutex;
+        bool registered = false; ///< written by the owning thread only
         std::uint32_t tid = 0;
         std::vector<TraceEntry> ring; ///< capacity fixed at enable
         std::size_t next = 0;         ///< overwrite cursor (oldest)
         std::uint64_t dropped = 0;
-        std::vector<OpenSpan> open;   ///< innermost last
-        std::uint64_t adoptedParent = 0;
+        std::vector<Frame> frames;    ///< scope stack, innermost last
     };
 
-    ThreadRing &localRing();
+    /** The calling thread's state, registered for recording when
+     *  @p record. */
+    ThreadRing &localRing(bool record = true);
     void push(ThreadRing &ring, TraceEntry entry);
+    /** The Span record of @p frame, ending at @p end_ns. */
+    static TraceEntry spanEntry(std::uint32_t tid, const Frame &frame,
+                                std::uint64_t end_ns);
+
+    /**
+     * Push a frame: the enclosing path extended by @p phase, or the
+     * path of @p adopted (a task frame) when non-null. Opens a span
+     * when tracing. Returns the stack depth with the new frame.
+     */
+    std::size_t openFrame(std::string_view phase, const Scope *adopted);
+    /** Pop the frame at @p depth, recording its span; returns its
+     *  path. */
+    std::string closeFrame(std::size_t depth);
 
     static thread_local std::shared_ptr<ThreadRing> t_ring_;
 
@@ -190,43 +234,62 @@ class SpanTracer
     std::atomic<std::size_t> capacity_{kDefaultRingCapacity};
 };
 
-/** RAII span; a no-op (id 0) when the tracer is disabled. */
-class ScopedSpan
+/** See file comment. */
+class ScopedTimer
 {
   public:
-    explicit ScopedSpan(std::string_view name,
-                        std::string_view path = "");
-    ~ScopedSpan();
+    /**
+     * Enter phase @p phase (a single path segment, no dots) of
+     * @p registry; the destructor leaves the phase and accumulates the
+     * elapsed wall time. Defaults to the global registry.
+     */
+    explicit ScopedTimer(std::string_view phase,
+                         Registry *registry = nullptr);
+    ~ScopedTimer();
 
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
+    ScopedTimer(const ScopedTimer &) = delete;
+    ScopedTimer &operator=(const ScopedTimer &) = delete;
 
-    std::uint64_t id() const { return id_; }
+    /** Elapsed seconds since this timer started. */
+    double elapsed() const;
 
   private:
-    std::uint64_t id_ = 0;
+    Registry &registry_;
+    std::size_t depth_ = 0; ///< scope stack depth with this frame
+    std::chrono::steady_clock::time_point start_;
+    PerfSample perfStart_;          ///< used when perfActive_
+    AllocTracker::Totals allocStart_; ///< used when allocActive_
+    bool perfActive_ = false;  ///< phase profiling was on at entry
+    bool allocActive_ = false; ///< alloc tracking was on at entry
+};
+
+/** See file comment. */
+class ScopedTask
+{
+  public:
+    explicit ScopedTask(const Scope &scope);
+    ~ScopedTask();
+
+    ScopedTask(const ScopedTask &) = delete;
+    ScopedTask &operator=(const ScopedTask &) = delete;
+
+  private:
+    std::size_t depth_ = 0;
+};
+
+/** Accumulated timing of one phase path, for reports. */
+struct PhaseTime
+{
+    std::string path;    ///< dotted phase path, e.g. "profile"
+    double seconds = 0.0;
+    std::uint64_t calls = 0;
 };
 
 /**
- * Make @p parent_span the calling thread's span parent while alive —
- * pool workers adopt the submitting thread's span around each task so
- * cross-thread parentage survives dispatch, exactly as PhaseAdoption
- * carries the phase stack. Restores the previous parent on
- * destruction.
+ * All phases recorded in @p registry (stats named time.<path>.seconds),
+ * sorted by path. Defaults to the global registry.
  */
-class SpanAdoption
-{
-  public:
-    explicit SpanAdoption(std::uint64_t parent_span);
-    ~SpanAdoption();
-
-    SpanAdoption(const SpanAdoption &) = delete;
-    SpanAdoption &operator=(const SpanAdoption &) = delete;
-
-  private:
-    std::uint64_t saved_ = 0;
-    bool active_ = false;
-};
+std::vector<PhaseTime> phaseTimes(const Registry *registry = nullptr);
 
 } // namespace dfault::obs
 

@@ -12,7 +12,6 @@
 #include "obs/json.hh"
 #include "obs/span.hh"
 #include "obs/stats.hh"
-#include "obs/timer.hh"
 
 namespace dfault::par {
 
@@ -108,13 +107,11 @@ steadyNanos()
 struct Batch
 {
     const std::function<void(std::size_t, int)> *body = nullptr;
-    /** Submitter's phase path; workers adopt it so nested ScopedTimers
-     *  land under the same stats paths as the serial execution. */
-    std::string phasePath;
-    /** Submitter's open span; workers adopt it so their task spans
-     *  (and any spans opened inside the body) parent correctly across
-     *  the dispatch boundary. 0 when tracing is disabled. */
-    std::uint64_t parentSpan = 0;
+    /** Submitter's scope; every task runs in a ScopedTask adopting
+     *  it, so nested ScopedTimers land under the same stats paths as
+     *  the serial execution and task spans parent to the submitter's
+     *  span across the dispatch boundary. */
+    obs::Scope scope;
     int maxRetries = 0;
     /** Resolved cancellation source (opts.token or the root). */
     CancelToken token;
@@ -371,7 +368,8 @@ Pool::parallelForResilient(std::size_t n,
         return {};
 
     auto &reg = obs::Registry::instance();
-    const std::string phase = obs::ScopedTimer::currentPath();
+    const obs::Scope scope = obs::currentScope();
+    const std::string &phase = scope.path;
 
     // Nested calls (already on a pool slot) and 1-thread pools run the
     // loop inline: this is the serial reference execution, and it makes
@@ -384,7 +382,6 @@ Pool::parallelForResilient(std::size_t n,
         }
         Batch batch;
         batch.body = &body;
-        batch.phasePath = phase;
         batch.maxRetries = opts.maxRetries;
         batch.token = opts.token.valid() ? opts.token : rootCancelToken();
         const auto start = std::chrono::steady_clock::now();
@@ -393,9 +390,9 @@ Pool::parallelForResilient(std::size_t n,
             // increments par.tasks_executed once below), so it also
             // records exactly one task span. runIndex never throws,
             // so the loop always drains the full range.
-            std::optional<obs::ScopedSpan> span;
-            if (adopt_slot && obs::SpanTracer::instance().enabled())
-                span.emplace("task", phase);
+            std::optional<obs::ScopedTask> task;
+            if (adopt_slot)
+                task.emplace(scope);
             for (std::size_t i = 0; i < n; ++i)
                 runIndex(batch, i);
         }
@@ -423,11 +420,9 @@ Pool::parallelForResilient(std::size_t n,
     auto &tracer = obs::SpanTracer::instance();
     Batch batch;
     batch.body = &body;
-    batch.phasePath = phase;
+    batch.scope = scope;
     batch.maxRetries = opts.maxRetries;
     batch.token = opts.token.valid() ? opts.token : rootCancelToken();
-    if (tracer.enabled())
-        batch.parentSpan = obs::SpanTracer::currentSpan();
 
     // Chunk the range: enough tasks for stealing to balance uneven
     // costs, few enough that queue traffic stays negligible.
@@ -561,37 +556,22 @@ Pool::runTask(const Task &task)
     const auto start = std::chrono::steady_clock::now();
     g_inFlight.fetch_add(1, std::memory_order_relaxed);
 
-    // Workers inherit the submitter's phase stack so their nested
-    // timers accumulate under the same dotted paths as a serial run;
-    // the submitting thread (slot 0) already carries it. Span
-    // parentage crosses the dispatch boundary the same way: workers
-    // adopt the submitter's open span (slot 0 already has it open).
-    std::optional<obs::PhaseAdoption> adopted;
-    if (t_slot > 0 && !batch.phasePath.empty())
-        adopted.emplace(batch.phasePath);
-    std::optional<obs::SpanAdoption> span_parent;
-    if (t_slot > 0 && batch.parentSpan != 0)
-        span_parent.emplace(batch.parentSpan);
-
     {
-        std::optional<obs::ScopedSpan> span;
-        if (obs::SpanTracer::instance().enabled()) {
-            span.emplace("task", batch.phasePath);
-            if (task.flowId != 0) {
-                // Flow arrow target, timestamped inside the task span
-                // so Perfetto binds it to the enclosing slice.
-                obs::SpanTracer::instance().flowEvent(
-                    obs::TraceKind::FlowEnd, task.flowId,
-                    batch.phasePath);
-            }
+        // Any thread, submitter or worker, runs the task under the
+        // submitter's scope: its phase path and a task span parented
+        // to the submitter's span.
+        const obs::ScopedTask scope(batch.scope);
+        if (task.flowId != 0) {
+            // Flow arrow target, timestamped inside the task span so
+            // Perfetto binds it to the enclosing slice.
+            obs::SpanTracer::instance().flowEvent(
+                obs::TraceKind::FlowEnd, task.flowId, batch.scope.path);
         }
         // runIndex never throws: each index retries, then quarantines
         // into batch.failures, so the chunk always runs to completion.
         for (std::size_t i = task.begin; i < task.end; ++i)
             runIndex(batch, i);
     }
-    span_parent.reset();
-    adopted.reset();
     g_inFlight.fetch_sub(1, std::memory_order_relaxed);
 
     const double task_ns = secondsSince(start) * 1e9;
@@ -792,10 +772,10 @@ heartbeatAnnotate(const std::string &note)
     HeartbeatBoard *board = t_board;
     if (board == nullptr || t_taskDepth != 1)
         return;
-    const std::string phase = obs::ScopedTimer::currentPath();
+    std::string phase = obs::currentScope().path;
     std::lock_guard<std::mutex> lock(board->noteMutex);
     board->note = note;
-    board->phasePath = phase;
+    board->phasePath = std::move(phase);
 }
 
 void

@@ -12,8 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "obs/alloc_tracker.hh"
+#include "obs/span.hh"
 #include "obs/stats.hh"
-#include "obs/timer.hh"
 
 namespace {
 

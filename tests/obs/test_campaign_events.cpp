@@ -15,8 +15,8 @@
 
 #include "core/characterization.hh"
 #include "obs/events.hh"
+#include "obs/span.hh"
 #include "obs/stats.hh"
-#include "obs/timer.hh"
 
 namespace dfault::core {
 namespace {

@@ -14,8 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "obs/perf_counters.hh"
+#include "obs/span.hh"
 #include "obs/stats.hh"
-#include "obs/timer.hh"
 
 #if defined(__linux__)
 #include <linux/perf_event.h>

@@ -1,20 +1,23 @@
 /**
  * @file
  * Span tracer tests: ring wraparound, half-open finalization, task
- * span parentage across pool dispatch, exclusive-time attribution and
- * the Chrome trace-event export.
+ * span parentage and phase paths across pool dispatch at 1, 2 and 8
+ * threads, exclusive-time attribution and the Chrome trace-event
+ * export.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.hh"
 #include "obs/span.hh"
 #include "obs/stats.hh"
-#include "obs/timer.hh"
 #include "obs/trace_writer.hh"
 #include "par/pool.hh"
 
@@ -34,12 +37,15 @@ spansOf(const std::vector<TraceEntry> &entries)
 
 TEST(SpanTracer, DisabledTracerRecordsNothing)
 {
-    auto &tracer = SpanTracer::instance();
-    tracer.disable();
-    EXPECT_EQ(tracer.beginSpan("x", "x"), 0u);
-    const ScopedSpan span("x");
-    EXPECT_EQ(span.id(), 0u);
-    EXPECT_EQ(SpanTracer::currentSpan(), 0u);
+    SpanTracer::instance().disable();
+    Registry reg;
+    const ScopedTimer timer("x", &reg);
+    EXPECT_EQ(currentScope().span, 0u);
+    {
+        const ScopedTask task(Scope{"x", 0});
+        EXPECT_EQ(currentScope().span, 0u);
+    }
+    EXPECT_EQ(currentScope().span, 0u);
 }
 
 TEST(SpanTracer, RingWraparoundKeepsNewestSpans)
@@ -48,7 +54,7 @@ TEST(SpanTracer, RingWraparoundKeepsNewestSpans)
     tracer.enable(4);
     for (int i = 0; i < 10; ++i) {
         const std::string path = "p" + std::to_string(i);
-        const ScopedSpan span("step", path);
+        const ScopedTask task(Scope{path, 0});
     }
     tracer.disable();
 
@@ -66,7 +72,9 @@ TEST(SpanTracer, DrainFinalizesHalfOpenSpanExactlyOnce)
 {
     auto &tracer = SpanTracer::instance();
     tracer.enable();
-    const std::uint64_t id = tracer.beginSpan("leaky", "leaky");
+    Registry reg;
+    std::optional<ScopedTimer> leaky(std::in_place, "leaky", &reg);
+    const std::uint64_t id = currentScope().span;
     ASSERT_NE(id, 0u);
 
     const auto first = spansOf(tracer.drain());
@@ -75,23 +83,47 @@ TEST(SpanTracer, DrainFinalizesHalfOpenSpanExactlyOnce)
     EXPECT_GE(first[0].endNs, first[0].startNs); // finalized at drain
 
     // The real end arrives later; it must not record a duplicate.
-    tracer.endSpan(id);
+    leaky.reset();
     tracer.disable();
     const auto second = spansOf(tracer.drain());
     EXPECT_TRUE(second.empty());
+}
+
+TEST(SpanTracer, ReEnableKeepsLiveScopePathsButDropsTheirSpans)
+{
+    auto &tracer = SpanTracer::instance();
+    tracer.enable();
+    Registry reg;
+    {
+        const ScopedTimer outer("outer", &reg);
+        ASSERT_NE(currentScope().span, 0u);
+        tracer.enable(); // a new trace: ids restart, old spans are gone
+        EXPECT_EQ(currentScope().path, "outer");
+        EXPECT_EQ(currentScope().span, 0u);
+        const ScopedTimer inner("inner", &reg);
+    }
+    tracer.disable();
+    EXPECT_EQ(reg.value("time.outer.inner.calls"), 1.0);
+    const auto spans = spansOf(tracer.drain());
+    ASSERT_EQ(spans.size(), 1u); // outer began in the discarded trace
+    EXPECT_EQ(spans[0].path, "outer.inner");
+    EXPECT_EQ(spans[0].parent, 0u);
 }
 
 TEST(SpanTracer, NestingRecordsParentage)
 {
     auto &tracer = SpanTracer::instance();
     tracer.enable();
+    Registry reg;
     std::uint64_t outer_id = 0, inner_id = 0;
     {
-        const ScopedSpan outer("outer");
-        outer_id = outer.id();
-        EXPECT_EQ(SpanTracer::currentSpan(), outer_id);
-        const ScopedSpan inner("inner");
-        inner_id = inner.id();
+        const ScopedTimer outer("outer", &reg);
+        outer_id = currentScope().span;
+        {
+            const ScopedTimer inner("inner", &reg);
+            inner_id = currentScope().span;
+        }
+        EXPECT_EQ(currentScope().span, outer_id);
     }
     tracer.disable();
     const auto spans = spansOf(tracer.drain());
@@ -112,10 +144,11 @@ TEST(SpanTracer, TaskSpansParentToSubmitterAcrossDispatch)
     par::Pool::setGlobalThreads(8);
     auto &tracer = SpanTracer::instance();
     tracer.enable();
+    Registry reg;
     std::uint64_t root_id = 0;
     {
-        const ScopedSpan root("submit_root");
-        root_id = root.id();
+        const ScopedTimer root("submit_root", &reg);
+        root_id = currentScope().span;
         par::Pool::global().parallelFor(64, [](std::size_t) {});
     }
     tracer.disable();
@@ -163,6 +196,74 @@ TEST(SpanTracer, TaskSpanCountMatchesExecutedCounter)
     EXPECT_EQ(static_cast<double>(task_spans), delta);
     // Every dispatch arrow that was picked up has its origin recorded.
     EXPECT_EQ(flow_begin, flow_end);
+}
+
+/**
+ * Timers inside pool tasks nest under the submitter's timer at any
+ * pool size: the stats path, and with tracing on the span chain
+ * cell -> task -> outer.
+ */
+void
+expectPoolTasksNestUnderSubmitter(int threads)
+{
+    par::Pool::setGlobalThreads(threads);
+    auto &tracer = SpanTracer::instance();
+    for (const bool traced : {false, true}) {
+        SCOPED_TRACE(traced ? "traced" : "untraced");
+        if (traced)
+            tracer.enable();
+        Registry reg;
+        std::uint64_t outer_id = 0;
+        {
+            const ScopedTimer outer("outer", &reg);
+            outer_id = currentScope().span;
+            par::Pool::global().parallelFor(32, [&](std::size_t) {
+                const ScopedTimer cell("cell", &reg);
+                // Long enough that workers wake and take chunks, not
+                // only the submitter.
+                std::this_thread::sleep_for(std::chrono::microseconds(500));
+            });
+        }
+        tracer.disable();
+        EXPECT_EQ(reg.value("time.outer.cell.calls"), 32.0);
+        if (!traced)
+            continue;
+
+        const auto spans = spansOf(tracer.drain());
+        std::map<std::uint64_t, TraceEntry> byId;
+        for (const TraceEntry &e : spans)
+            byId[e.id] = e;
+        int cells = 0;
+        for (const TraceEntry &e : spans) {
+            if (e.name != "cell")
+                continue;
+            ++cells;
+            EXPECT_EQ(e.path, "outer.cell");
+            const auto task = byId.find(e.parent);
+            ASSERT_NE(task, byId.end());
+            EXPECT_EQ(task->second.name, "task");
+            EXPECT_EQ(task->second.path, "outer");
+            EXPECT_EQ(task->second.parent, outer_id);
+        }
+        EXPECT_EQ(cells, 32);
+        ASSERT_NE(byId.find(outer_id), byId.end());
+        EXPECT_EQ(byId[outer_id].name, "outer");
+    }
+}
+
+TEST(ScopedTask, PoolTasksNestUnderSubmitterSerial)
+{
+    expectPoolTasksNestUnderSubmitter(1);
+}
+
+TEST(ScopedTask, PoolTasksNestUnderSubmitterTwoThreads)
+{
+    expectPoolTasksNestUnderSubmitter(2);
+}
+
+TEST(ScopedTask, PoolTasksNestUnderSubmitterEightThreads)
+{
+    expectPoolTasksNestUnderSubmitter(8);
 }
 
 /** Traced workload mixing nested timers with pool tasks. */

@@ -1,7 +1,8 @@
 /**
  * @file
- * Scoped-timer tests: phase-stack nesting, accumulation into the stats
- * registry and the phaseTimes() report.
+ * Scoped-timer tests: scope-stack nesting, adoption of a captured
+ * scope, accumulation into the stats registry and the phaseTimes()
+ * report.
  */
 
 #include <gtest/gtest.h>
@@ -9,8 +10,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/span.hh"
 #include "obs/stats.hh"
-#include "obs/timer.hh"
 
 namespace dfault::obs {
 namespace {
@@ -18,20 +19,19 @@ namespace {
 TEST(ScopedTimer, NestingBuildsDottedPaths)
 {
     Registry reg;
-    EXPECT_EQ(ScopedTimer::currentPath(), "");
+    EXPECT_EQ(currentScope().path, "");
     {
         const ScopedTimer outer("cross_validate", &reg);
-        EXPECT_EQ(ScopedTimer::currentPath(), "cross_validate");
+        EXPECT_EQ(currentScope().path, "cross_validate");
         {
             const ScopedTimer mid("fold", &reg);
-            EXPECT_EQ(ScopedTimer::currentPath(), "cross_validate.fold");
+            EXPECT_EQ(currentScope().path, "cross_validate.fold");
             const ScopedTimer inner("train", &reg);
-            EXPECT_EQ(ScopedTimer::currentPath(),
-                      "cross_validate.fold.train");
+            EXPECT_EQ(currentScope().path, "cross_validate.fold.train");
         }
-        EXPECT_EQ(ScopedTimer::currentPath(), "cross_validate");
+        EXPECT_EQ(currentScope().path, "cross_validate");
     }
-    EXPECT_EQ(ScopedTimer::currentPath(), "");
+    EXPECT_EQ(currentScope().path, "");
 
     EXPECT_TRUE(reg.has("time.cross_validate.seconds"));
     EXPECT_TRUE(reg.has("time.cross_validate.fold.seconds"));
@@ -83,11 +83,11 @@ TEST(ScopedTimer, PhaseStacksAreThreadLocal)
         // A fresh thread starts at the top level, not inside
         // "main_phase".
         const ScopedTimer t("worker_phase", &reg);
-        other_path = ScopedTimer::currentPath();
+        other_path = currentScope().path;
     });
     worker.join();
     EXPECT_EQ(other_path, "worker_phase");
-    EXPECT_EQ(ScopedTimer::currentPath(), "main_phase");
+    EXPECT_EQ(currentScope().path, "main_phase");
     EXPECT_TRUE(reg.has("time.worker_phase.seconds"));
 }
 
@@ -102,47 +102,46 @@ TEST(ScopedTimer, PhaseStackUnwindsWhenTimedRegionThrows)
     }
     // Stack unwinding ran both destructors: the thread is back at the
     // top level and both phases still accumulated their time.
-    EXPECT_EQ(ScopedTimer::currentPath(), "");
+    EXPECT_EQ(currentScope().path, "");
     EXPECT_EQ(reg.value("time.outer.calls"), 1.0);
     EXPECT_EQ(reg.value("time.outer.inner.calls"), 1.0);
 }
 
-TEST(PhaseAdoption, RestoresAdopterStackOnScopeExit)
+TEST(ScopedTask, RestoresAdopterStackOnScopeExit)
 {
     Registry reg;
     const ScopedTimer outer("main_phase", &reg);
     {
-        const PhaseAdoption adopted("sweep.measure");
-        EXPECT_EQ(ScopedTimer::currentPath(), "sweep.measure");
+        const ScopedTask adopted(Scope{"sweep.measure", 0});
+        EXPECT_EQ(currentScope().path, "sweep.measure");
         const ScopedTimer t("integrate", &reg);
-        EXPECT_EQ(ScopedTimer::currentPath(),
-                  "sweep.measure.integrate");
+        EXPECT_EQ(currentScope().path, "sweep.measure.integrate");
     }
-    EXPECT_EQ(ScopedTimer::currentPath(), "main_phase");
+    EXPECT_EQ(currentScope().path, "main_phase");
     EXPECT_TRUE(reg.has("time.sweep.measure.integrate.seconds"));
 }
 
-TEST(PhaseAdoption, RestoresAdopterStackAfterThrow)
+TEST(ScopedTask, RestoresAdopterStackAfterThrow)
 {
     Registry reg;
     const ScopedTimer outer("main_phase", &reg);
     try {
-        const PhaseAdoption adopted("sweep.measure");
+        const ScopedTask adopted(Scope{"sweep.measure", 0});
         throw std::runtime_error("boom");
     } catch (const std::runtime_error &) {
     }
-    EXPECT_EQ(ScopedTimer::currentPath(), "main_phase");
+    EXPECT_EQ(currentScope().path, "main_phase");
 }
 
-TEST(PhaseAdoption, EmptyPathAdoptsTopLevel)
+TEST(ScopedTask, EmptyPathAdoptsTopLevel)
 {
     Registry reg;
     const ScopedTimer outer("main_phase", &reg);
     {
-        const PhaseAdoption adopted("");
-        EXPECT_EQ(ScopedTimer::currentPath(), "");
+        const ScopedTask adopted(Scope{});
+        EXPECT_EQ(currentScope().path, "");
     }
-    EXPECT_EQ(ScopedTimer::currentPath(), "main_phase");
+    EXPECT_EQ(currentScope().path, "main_phase");
 }
 
 TEST(ScopedTimer, RejectsDottedPhaseNames)
