@@ -38,12 +38,65 @@ CharacterizationCampaign::measure(const workloads::WorkloadConfig &config,
     return measureOn(platform_, config, op, run_seed, log);
 }
 
+const par::CancelToken &
+CharacterizationCampaign::cancelToken() const
+{
+    return params_.cancelToken.valid() ? params_.cancelToken
+                                       : par::rootCancelToken();
+}
+
+dram::OperatingPoint
+CharacterizationCampaign::settle(sys::Platform &platform,
+                                 const features::WorkloadProfile &profile,
+                                 const dram::OperatingPoint &op) const
+{
+    dram::OperatingPoint achieved = op;
+    if (!params_.useThermalLoop)
+        return achieved;
+    const obs::ScopedTimer settle_timer("thermal_settle");
+    auto &thermal = platform.thermal();
+    // Start from a reset testbed: the settle must not depend on
+    // which experiment (if any) heated the DIMMs before this one.
+    thermal.reset();
+    // DRAM self-heating: each DIMM dissipates according to its
+    // share of the workload's command activity; the PID loop has
+    // to regulate around it, exactly as on the physical testbed.
+    const dram::PowerModel power;
+    const auto &geometry = platform.geometry();
+    for (int dimm = 0; dimm < geometry.params().channels; ++dimm) {
+        double act_rate = 0.0, cmd_rate = 0.0;
+        for (int rank = 0; rank < geometry.params().ranksPerDimm;
+             ++rank) {
+            const int dev =
+                geometry.deviceIndex(dram::DeviceId{dimm, rank});
+            for (const auto &row : profile.deviceRows[dev]) {
+                act_rate += row.activationRate;
+                cmd_rate += row.accessRate;
+            }
+        }
+        const double watts =
+            power.rankPower(op, act_rate, cmd_rate).total() -
+            power.rankPower(op, 0.0, 0.0).background;
+        thermal.setDramPower(dimm, std::max(0.0, watts));
+    }
+    thermal.setTargetAll(op.temperature);
+    if (!thermal.stepUntilSettled())
+        DFAULT_FATAL("thermal testbed failed to settle at ",
+                     op.temperature, " C");
+    double sum = 0.0;
+    for (int d = 0; d < thermal.dimms(); ++d)
+        sum += thermal.temperature(d);
+    achieved.temperature = sum / thermal.dimms();
+    return achieved;
+}
+
 Measurement
 CharacterizationCampaign::measureOn(sys::Platform &platform,
                                     const workloads::WorkloadConfig &config,
                                     const dram::OperatingPoint &op,
                                     std::uint64_t run_seed,
-                                    dram::ErrorLog *log, int attempt)
+                                    dram::ErrorLog *log, int attempt,
+                                    const SettledPoint *settled)
 {
     op.validate();
 
@@ -52,9 +105,7 @@ CharacterizationCampaign::measureOn(sys::Platform &platform,
     // Cooperative cancellation: bail before committing to the cell.
     // A CancelledError here reaches the pool's Cancelled disposition,
     // never the retry/quarantine path.
-    const par::CancelToken &token = params_.cancelToken.valid()
-                                        ? params_.cancelToken
-                                        : par::rootCancelToken();
+    const par::CancelToken &token = cancelToken();
     token.throwIfCancelled();
 
     // The cell key is derived from labels, not indices, so the fault
@@ -78,52 +129,18 @@ CharacterizationCampaign::measureOn(sys::Platform &platform,
     par::heartbeat();
 
     const features::WorkloadProfile &profile =
-        features::ProfileCache::instance().get(platform, config,
-                                               params_.workload);
+        settled != nullptr
+            ? *settled->profile
+            : features::ProfileCache::instance().get(platform, config,
+                                                     params_.workload);
 
     Measurement m;
     m.label = config.label;
     m.threads = config.threads;
     m.requested = op;
-    m.achieved = op;
+    m.achieved =
+        settled != nullptr ? settled->achieved : settle(platform, profile, op);
     m.profile = &profile;
-
-    if (params_.useThermalLoop) {
-        const obs::ScopedTimer settle_timer("thermal_settle");
-        auto &thermal = platform.thermal();
-        // Start from a reset testbed: the settle must not depend on
-        // which experiment (if any) heated the DIMMs before this one.
-        thermal.reset();
-        // DRAM self-heating: each DIMM dissipates according to its
-        // share of the workload's command activity; the PID loop has
-        // to regulate around it, exactly as on the physical testbed.
-        const dram::PowerModel power;
-        const auto &geometry = platform.geometry();
-        for (int dimm = 0; dimm < geometry.params().channels; ++dimm) {
-            double act_rate = 0.0, cmd_rate = 0.0;
-            for (int rank = 0; rank < geometry.params().ranksPerDimm;
-                 ++rank) {
-                const int dev = geometry.deviceIndex(
-                    dram::DeviceId{dimm, rank});
-                for (const auto &row : profile.deviceRows[dev]) {
-                    act_rate += row.activationRate;
-                    cmd_rate += row.accessRate;
-                }
-            }
-            const double watts =
-                power.rankPower(op, act_rate, cmd_rate).total() -
-                power.rankPower(op, 0.0, 0.0).background;
-            thermal.setDramPower(dimm, std::max(0.0, watts));
-        }
-        thermal.setTargetAll(op.temperature);
-        if (!thermal.stepUntilSettled())
-            DFAULT_FATAL("thermal testbed failed to settle at ",
-                         op.temperature, " C");
-        double achieved = 0.0;
-        for (int d = 0; d < thermal.dimms(); ++d)
-            achieved += thermal.temperature(d);
-        m.achieved.temperature = achieved / thermal.dimms();
-    }
     token.throwIfCancelled();
     par::heartbeat();
 
@@ -135,9 +152,13 @@ CharacterizationCampaign::measureOn(sys::Platform &platform,
         if (obs::SpanTracer::instance().enabled())
             obs::SpanTracer::instance().annotateCurrent(
                 config.label + " @ " + op.label());
-        m.run = integrator_.run(profile, m.achieved,
-                                platform.geometry(),
-                                platform.devices(), run_seed, log);
+        m.run = settled != nullptr
+                    ? integrator_.sample(settled->intensity,
+                                         platform.geometry(), run_seed,
+                                         log)
+                    : integrator_.run(profile, m.achieved,
+                                      platform.geometry(),
+                                      platform.devices(), run_seed, log);
         integrate_seconds = integrate_timer.elapsed();
     }
 
@@ -269,9 +290,7 @@ CharacterizationCampaign::sweep(
     // exactly once per config either way; doing it up front keeps the
     // platform.* / profile.* stats independent of which cells are
     // measured fresh, restored from a checkpoint, or quarantined.
-    const par::CancelToken token = params_.cancelToken.valid()
-                                       ? params_.cancelToken
-                                       : par::rootCancelToken();
+    const par::CancelToken token = cancelToken();
     {
         par::ResilienceOptions profile_opts;
         profile_opts.maxRetries = params_.taskRetries;
@@ -414,12 +433,26 @@ CharacterizationCampaign::measurePue(
 {
     DFAULT_ASSERT(repeats > 0, "PUE needs at least one repeat");
     const obs::ScopedTimer pue_timer("pue");
-    prepareReplicas();
+    op.validate();
+    cancelToken().throwIfCancelled();
+    // Repeats differ only in their run seed, and neither the thermal
+    // settle nor the integrator's intensity pass reads it: settle and
+    // integrate once here, and let every repeat only sample. Repeats
+    // read the campaign's platform and never write it, so they need
+    // no replicas.
+    SettledPoint point;
+    point.profile = &features::ProfileCache::instance().get(
+        platform_, config, params_.workload);
+    point.achieved = settle(platform_, *point.profile, op);
+    point.intensity =
+        integrator_.intensity(*point.profile, point.achieved,
+                              platform_.geometry(), platform_.devices());
     const auto crashed = par::Pool::global().parallelMap<char>(
         static_cast<std::size_t>(repeats), [&](std::size_t r) {
             const Measurement m =
-                measureOn(slotPlatform(), config, op,
-                          static_cast<std::uint64_t>(r) + 1, nullptr);
+                measureOn(platform_, config, op,
+                          static_cast<std::uint64_t>(r) + 1, nullptr, 0,
+                          &point);
             return static_cast<char>(m.run.crashed ? 1 : 0);
         });
     int crashes = 0;

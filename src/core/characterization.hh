@@ -135,7 +135,10 @@ class CharacterizationCampaign
     /**
      * Probability of a UE for each workload at @p op from @p repeats
      * independent runs (paper Eq. 3: crashes / experiments). Repeats
-     * run in parallel, each seeded by its repeat index.
+     * run in parallel, each seeded by its repeat index; the thermal
+     * settle and the seed-free intensity pass run once per call, and
+     * each repeat is a cell that only samples. Equal to the crash
+     * fraction of measure(config, op, r + 1) for r < repeats.
      */
     double measurePue(const workloads::WorkloadConfig &config,
                       const dram::OperatingPoint &op, int repeats);
@@ -145,14 +148,36 @@ class CharacterizationCampaign
     const Params &params() const { return params_; }
 
   private:
+    /** A workload's settled operating point and its seed-free run
+     *  intensity: what every repeat of one measurePue() shares. */
+    struct SettledPoint
+    {
+        const features::WorkloadProfile *profile = nullptr;
+        dram::OperatingPoint achieved;
+        RunIntensity intensity;
+    };
+
     /** measure() against an explicit platform (a worker's replica).
      *  @p attempt keys the fault-injection schedule only — results
-     *  never depend on it. */
+     *  never depend on it. With @p settled the cell skips the profile
+     *  lookup, the thermal settle and the intensity pass, and only
+     *  samples; it then reads @p platform and never writes it. */
     Measurement measureOn(sys::Platform &platform,
                           const workloads::WorkloadConfig &config,
                           const dram::OperatingPoint &op,
                           std::uint64_t run_seed, dram::ErrorLog *log,
-                          int attempt = 0);
+                          int attempt = 0,
+                          const SettledPoint *settled = nullptr);
+
+    /** Drive @p platform's thermal testbed to @p op under @p profile's
+     *  DRAM self-heating; returns the achieved point (@p op itself
+     *  without the thermal loop). */
+    dram::OperatingPoint settle(sys::Platform &platform,
+                                const features::WorkloadProfile &profile,
+                                const dram::OperatingPoint &op) const;
+
+    /** params_.cancelToken, or the root token when that is unset. */
+    const par::CancelToken &cancelToken() const;
 
     /** The calling slot's platform: the campaign's own on the
      *  submitting thread, a lazily-built replica on pool workers. */

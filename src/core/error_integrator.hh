@@ -80,6 +80,33 @@ struct RunResult
     double werForDevice(int device) const;
 };
 
+/** Expected failure intensities of one device, before any draw. */
+struct DeviceIntensity
+{
+    double ceLambda = 0.0;     ///< expected failing cells (scaled)
+    double uePerEpoch = 0.0;   ///< expected UE words per epoch
+    double sdcPerEpoch = 0.0;  ///< expected >=3-flip words per epoch
+    double touchedWords = 0.0; ///< scaled words on this device
+    /** The 64 heaviest rows as (row index, CE lambda), lambda
+     *  descending and row index ascending among equal lambdas: the
+     *  rows error records are sampled from. */
+    std::vector<std::pair<std::uint64_t, double>> hotRows;
+};
+
+/**
+ * Everything a run derives from (profile, operating point, devices)
+ * before its first draw. It does not depend on the run seed, so the
+ * repeats of one experiment can share it and only sample.
+ */
+struct RunIntensity
+{
+    std::vector<DeviceIntensity> devices;
+    /** Scaled MEMSIZE: allocated words x exposure scale. */
+    double allocatedWords = 0.0;
+    std::uint64_t pointKey = 0; ///< hash of the operating point
+    std::uint64_t labelKey = 0; ///< hash of the profile label
+};
+
 /** Per-row failure intensity, for retention-profiling analyses. */
 struct RowIntensity
 {
@@ -140,7 +167,7 @@ class ErrorIntegrator
 
     /**
      * Simulate one characterization run of @p profile at @p op on the
-     * device population @p devices.
+     * device population @p devices: sample(intensity(...)).
      *
      * @param run_seed distinguishes repeat runs of the same experiment
      *        (paper repeats each PUE experiment 10 times)
@@ -152,6 +179,25 @@ class ErrorIntegrator
                   const std::vector<dram::DramDevice> &devices,
                   std::uint64_t run_seed = 0,
                   dram::ErrorLog *log = nullptr) const;
+
+    /**
+     * The seed-free half of run(): per-device expected CE, UE and SDC
+     * rates of @p profile at @p op on @p devices.
+     */
+    RunIntensity intensity(const features::WorkloadProfile &profile,
+                           const dram::OperatingPoint &op,
+                           const dram::Geometry &geometry,
+                           const std::vector<dram::DramDevice> &devices)
+        const;
+
+    /**
+     * The seeded half of run(): draw the epochs of one run from
+     * @p intensity (computed by this integrator on @p geometry).
+     */
+    RunResult sample(const RunIntensity &intensity,
+                     const dram::Geometry &geometry,
+                     std::uint64_t run_seed = 0,
+                     dram::ErrorLog *log = nullptr) const;
 
     /**
      * Per-row expected failure intensities of one device under @p op —
@@ -172,16 +218,8 @@ class ErrorIntegrator
     dram::InterferenceModel interference_;
     dram::EccSecded ecc_;
 
-    /** Per-device precomputed failure intensities. */
-    struct DeviceIntensity
-    {
-        double ceLambda = 0.0;     ///< expected failing cells (scaled)
-        double uePerEpoch = 0.0;   ///< expected UE words per epoch
-        double sdcPerEpoch = 0.0;  ///< expected >=3-flip words per epoch
-        double touchedWords = 0.0; ///< scaled words on this device
-        /** Rows with non-trivial intensity, for record sampling. */
-        std::vector<std::pair<std::uint64_t, double>> hotRows;
-    };
+    /** Paper-scale words per profiled footprint word (DESIGN.md §4). */
+    double exposureScale(const features::WorkloadProfile &profile) const;
 
     DeviceIntensity
     computeIntensity(const features::WorkloadProfile &profile,

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/characterization.hh"
+#include "par/pool.hh"
 
 namespace dfault::core {
 namespace {
@@ -77,6 +78,45 @@ TEST(Campaign, MeasurePueCountsCrashes)
     const double mild = campaign.measurePue(
         {"kmeans", 8, "kmeans(par)"}, {0.618, dram::kMinVdd, 50.0}, 3);
     EXPECT_DOUBLE_EQ(mild, 0.0);
+}
+
+TEST(Campaign, MeasurePueIsTheCrashFractionOfSeparateMeasurements)
+{
+    // measurePue settles and integrates once and only samples each
+    // repeat; that must be invisible: the same fraction as measure()
+    // with run seeds 1..n, whatever the pool size.
+    constexpr int kRepeats = 6;
+    const workloads::WorkloadConfig config{"backprop", 8,
+                                           "backprop(par)"};
+    const int saved_threads = par::Pool::global().threads();
+    for (const dram::OperatingPoint &op :
+         {dram::OperatingPoint{0.618, dram::kMinVdd, 50.0},
+          dram::OperatingPoint{dram::kMaxTrefp, dram::kMinVdd, 70.0}}) {
+        SCOPED_TRACE(op.label());
+        CharacterizationCampaign reference(sharedPlatform(),
+                                           smallParams(true));
+        int crashes = 0;
+        for (int r = 0; r < kRepeats; ++r)
+            crashes += reference
+                           .measure(config, op,
+                                    static_cast<std::uint64_t>(r) + 1)
+                           .run.crashed;
+        const double expected = static_cast<double>(crashes) / kRepeats;
+        if (op.temperature >= 70.0) {
+            // Crash-prone, but not certain: the repeats must differ.
+            EXPECT_GT(expected, 0.0);
+            EXPECT_LT(expected, 1.0);
+        }
+        for (const int threads : {1, 2, 8}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            par::Pool::setGlobalThreads(threads);
+            CharacterizationCampaign campaign(sharedPlatform(),
+                                              smallParams(true));
+            EXPECT_EQ(campaign.measurePue(config, op, kRepeats),
+                      expected);
+        }
+    }
+    par::Pool::setGlobalThreads(saved_threads);
 }
 
 TEST(Campaign, OperatingPointGridsMatchThePaper)

@@ -230,6 +230,84 @@ TEST(Integrator, NoSdcInThePaperEnvelope)
     }
 }
 
+TEST(Integrator, RunIsSampleOfIntensity)
+{
+    // The seed-free intensity pass and the seeded sampling compose to
+    // run(), records included, at a crashing and a crash-free point.
+    auto &platform = sharedPlatform();
+    const ErrorIntegrator integrator;
+    for (const dram::OperatingPoint &op :
+         {dram::OperatingPoint{dram::kMaxTrefp, dram::kMinVdd, 70.0},
+          dram::OperatingPoint{dram::kMaxTrefp, dram::kMinVdd, 60.0}}) {
+        SCOPED_TRACE(op.label());
+        const auto &profile = profileOf("backprop", 8);
+        const RunIntensity shared = integrator.intensity(
+            profile, op, platform.geometry(), platform.devices());
+        for (const std::uint64_t seed : {0u, 1u, 7u}) {
+            dram::ErrorLog run_log(platform.geometry());
+            dram::ErrorLog sample_log(platform.geometry());
+            const RunResult a =
+                integrator.run(profile, op, platform.geometry(),
+                               platform.devices(), seed, &run_log);
+            const RunResult b = integrator.sample(
+                shared, platform.geometry(), seed, &sample_log);
+            EXPECT_EQ(a.werSeries, b.werSeries);
+            EXPECT_EQ(a.cePerDevice, b.cePerDevice);
+            EXPECT_EQ(a.wordsPerDevice, b.wordsPerDevice);
+            EXPECT_EQ(a.crashed, b.crashed);
+            EXPECT_EQ(a.crashEpoch, b.crashEpoch);
+            EXPECT_EQ(a.crashDevice, b.crashDevice);
+            EXPECT_EQ(a.expectedSdc, b.expectedSdc);
+            EXPECT_EQ(a.allocatedWords, b.allocatedWords);
+            ASSERT_GT(run_log.records().size(), 0u);
+            ASSERT_EQ(run_log.records().size(),
+                      sample_log.records().size());
+            for (std::size_t i = 0; i < run_log.records().size(); ++i) {
+                const auto &x = run_log.records()[i];
+                const auto &y = sample_log.records()[i];
+                EXPECT_EQ(x.device, y.device) << i;
+                EXPECT_EQ(x.bank, y.bank) << i;
+                EXPECT_EQ(x.row, y.row) << i;
+                EXPECT_EQ(x.column, y.column) << i;
+                EXPECT_EQ(x.type, y.type) << i;
+                EXPECT_EQ(x.epoch, y.epoch) << i;
+                EXPECT_EQ(x.bitsFlipped, y.bitsFlipped) << i;
+            }
+        }
+    }
+}
+
+TEST(Integrator, HotRowsBreakLambdaTiesByRowIndex)
+{
+    // Rows of equal CE lambda (same words, no gap, no aggressors, and
+    // a data pattern that makes both cell orientations equally
+    // vulnerable) listed in descending row order: the kept 64 must be
+    // the lowest row indices, ascending.
+    auto &platform = sharedPlatform();
+    features::WorkloadProfile profile;
+    profile.label = "equal-rows";
+    profile.footprintWords = 1 << 20;
+    profile.bitOneProb.fill(0.5);
+    profile.deviceRows.resize(platform.devices().size());
+    for (std::uint64_t r = 200; r-- > 0;) {
+        features::RowStat row;
+        row.rowIndex = 4 * r; // no two rows adjacent
+        row.touchedWords = 16;
+        profile.deviceRows[0].push_back(row);
+    }
+    const RunIntensity intensity = ErrorIntegrator().intensity(
+        profile, {dram::kMaxTrefp, dram::kMinVdd, 60.0},
+        platform.geometry(), platform.devices());
+    const auto &hot = intensity.devices[0].hotRows;
+    ASSERT_EQ(hot.size(), 64u);
+    for (std::size_t i = 0; i < hot.size(); ++i) {
+        EXPECT_EQ(hot[i].first, 4 * i);
+        EXPECT_EQ(hot[i].second, hot[0].second);
+    }
+    EXPECT_GT(hot[0].second, 0.0);
+    EXPECT_TRUE(intensity.devices[1].hotRows.empty());
+}
+
 TEST(IntegratorDeath, MismatchedDevicePopulationPanics)
 {
     auto &platform = sharedPlatform();

@@ -12,10 +12,18 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "obs/stats.hh"
 #include "par/pool.hh"
 
 namespace dfault::par {
 namespace {
+
+// First in the file, before any pool of this process exists.
+TEST(Pool, StealCounterIsRegisteredBeforeAnySteal)
+{
+    EXPECT_TRUE(obs::Registry::instance().has("par.steals"));
+    EXPECT_EQ(obs::Registry::instance().value("par.steals"), 0.0);
+}
 
 TEST(DefaultThreads, HonoursEnvironmentVariable)
 {
